@@ -1,4 +1,4 @@
-"""Ablations for the design choices DESIGN.md calls out.
+"""Ablations for the design choices the README calls out.
 
 * **slicing** — the paper's central contribution: the same invariant on
   the same network, sliced vs. unsliced.

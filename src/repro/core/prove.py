@@ -1,11 +1,11 @@
 """Unbounded proofs for BMC ``holds`` verdicts.
 
-The BMC driver's ``holds`` is relative to the structural depth bound of
-DESIGN.md §5.  :func:`prove` upgrades it through the unbounded proof
-subsystem (:mod:`repro.proof`): a portfolio runs BMC-for-bugs alongside
-k-induction and IC3/PDR under a shared conflict budget, and a prover
-verdict is only trusted after its inductive certificate passes an
-independent cold-solver re-check.
+The BMC driver's ``holds`` is relative to the structural depth bound
+(README, "Solver internals", *The depth bound*).  :func:`prove` upgrades
+it through the unbounded proof subsystem (:mod:`repro.proof`): a
+portfolio runs BMC-for-bugs alongside k-induction and IC3/PDR under a
+shared conflict budget, and a prover verdict is only trusted after its
+inductive certificate passes an independent cold-solver re-check.
 
 Where the invariant falls in the boolean-oracle, failure-free fragment,
 the explicit-state fixpoint of :mod:`repro.baselines.explicit` decides

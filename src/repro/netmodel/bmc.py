@@ -3,11 +3,11 @@
 The paper hands Z3 a formula whose satisfying assignments are invariant
 violations; we do the same against :mod:`repro.smt`, grounding time to
 a bounded unrolling depth.  The default depth comes from the structural
-bound argued in DESIGN.md §5: a violation needs at most one emission of
-each symbolic packet by each node on its path, because middlebox state
-in our model only ever *enables* more behaviour between failures
-(hole-punching, cache fills, NAT mappings); failure events add a
-constant per failure allowed.
+bound argued in the README ("Solver internals", *The depth bound*): a
+violation needs at most one emission of each symbolic packet by each
+node on its path, because middlebox state in our model only ever
+*enables* more behaviour between failures (hole-punching, cache fills,
+NAT mappings); failure events add a constant per failure allowed.
 
 Since the solver stack went incremental, every check runs through a
 :class:`IncrementalBMC` driver that owns one *warm* solver per network
@@ -105,7 +105,7 @@ class CheckResult:
 
 
 def default_depth(net: VerificationNetwork, n_packets: int, failure_budget: int) -> int:
-    """The structural depth bound from DESIGN.md §5.
+    """The structural depth bound (README, "Solver internals").
 
     Per packet: one host emission, plus two events (Ω delivery + re-
     emission) per middlebox it can traverse, plus the final delivery.
@@ -156,7 +156,7 @@ class IncrementalBMC:
         self.net = net
         with get_tracer().span(
             "encode", cat="bmc", depth=depth, n_packets=n_packets
-        ):
+        ) as span:
             self.model = NetworkSMTModel(
                 net,
                 n_packets=n_packets,
@@ -171,6 +171,7 @@ class IncrementalBMC:
             self.checks = 0
             for axiom in self.model.base_axioms():
                 self.solver.add(axiom)
+            self.solver.report_encoding(span)
         self.encode_seconds = time.perf_counter() - started
 
     @property
@@ -196,10 +197,12 @@ class IncrementalBMC:
         started = time.perf_counter()
         with get_tracer().span(
             "extend", cat="bmc", from_depth=self.asserted_depth, to_depth=k
-        ):
+        ) as span:
+            before = self.solver.encoder_counters()
             for t in range(self.asserted_depth, k):
                 for axiom in self.model.step_axioms(t):
                     self.solver.add(axiom)
+            self.solver.report_encoding(span, since=before)
         self.asserted_depth = k
         self.encode_seconds += time.perf_counter() - started
 

@@ -23,7 +23,7 @@ Event kinds:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from ..smt import And, EnumConst, EnumSort, EnumVar, Eq, Term
 
@@ -50,15 +50,20 @@ class EventVars:
         self.frm = EnumVar(f"{ns}:t{t}.frm", node_sort)
         self.to = EnumVar(f"{ns}:t{t}.to", node_sort)
         self.pkt = EnumVar(f"{ns}:t{t}.pkt", pkt_sort)
-        self._kind_sort = kind_sort
-        self._node_sort = node_sort
-        self._pkt_sort = pkt_sort
+        self._atoms: Dict[tuple, Term] = {}  # (variable, value) -> atom
 
     # ------------------------------------------------------------------
     # Predicate builders
     # ------------------------------------------------------------------
+    def _is(self, var: Term, value) -> Term:
+        """The atom ``var == value``, cached per timestep."""
+        atom = self._atoms.get((var, value))
+        if atom is None:
+            atom = self._atoms[(var, value)] = Eq(var, EnumConst(var.sort, value))
+        return atom
+
     def is_kind(self, kind: str) -> Term:
-        return Eq(self.kind, EnumConst(self._kind_sort, kind))
+        return self._is(self.kind, kind)
 
     @property
     def is_send(self) -> Term:
@@ -69,13 +74,13 @@ class EventVars:
         return self.is_kind(EventKind.NOOP)
 
     def frm_is(self, node: str) -> Term:
-        return Eq(self.frm, EnumConst(self._node_sort, node))
+        return self._is(self.frm, node)
 
     def to_is(self, node: str) -> Term:
-        return Eq(self.to, EnumConst(self._node_sort, node))
+        return self._is(self.to, node)
 
     def pkt_is(self, index: int) -> Term:
-        return Eq(self.pkt, EnumConst(self._pkt_sort, index))
+        return self._is(self.pkt, index)
 
     def snd(self, frm: str, to: str, pkt_index: int) -> Term:
         """This timestep is exactly ``snd(frm, to, p)`` from the paper."""

@@ -29,6 +29,7 @@ reversed; :func:`same_flow` builds that term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from ..smt import And, EnumConst, EnumSort, EnumVar, Eq, Or, Term
@@ -101,7 +102,7 @@ class PacketSchema:
 
 @dataclass(frozen=True)
 class SymPacket:
-    """The field variables of symbolic packet number ``index``."""
+    """The field variables of symbolic packet number ``index`` (cached)."""
 
     schema: PacketSchema
     index: int
@@ -109,27 +110,27 @@ class SymPacket:
     def _field(self, name: str, sort: EnumSort) -> Term:
         return EnumVar(f"{self.schema.ns}:p{self.index}.{name}", sort)
 
-    @property
+    @cached_property
     def src(self) -> Term:
         return self._field("src", self.schema.addr_sort)
 
-    @property
+    @cached_property
     def dst(self) -> Term:
         return self._field("dst", self.schema.addr_sort)
 
-    @property
+    @cached_property
     def sport(self) -> Term:
         return self._field("sport", self.schema.port_sort)
 
-    @property
+    @cached_property
     def dport(self) -> Term:
         return self._field("dport", self.schema.port_sort)
 
-    @property
+    @cached_property
     def origin(self) -> Term:
         return self._field("origin", self.schema.addr_sort)
 
-    @property
+    @cached_property
     def tag(self) -> Term:
         return self._field("tag", self.schema.tag_sort)
 

@@ -292,6 +292,13 @@ class MetricsRegistry:
                     f"cumulative solver {key} across all checks",
                 ).inc(n, **labels)
 
+    def record_encoder(self, delta: dict) -> None:
+        """Fold one encoding batch's work (terms visited, clauses,
+        int32 lits, flushes) into ``repro_encoder_<key>_total``."""
+        for key, n in delta.items():
+            if n:
+                self.counter(f"repro_encoder_{key}_total", f"CNF-encoder {key}").inc(n)
+
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
@@ -504,6 +511,9 @@ class NullRegistry:
         return None
 
     def record_solver(self, delta, **labels):
+        pass
+
+    def record_encoder(self, delta):
         pass
 
     def snapshot(self):

@@ -177,7 +177,13 @@ def render_stats(payload: dict, top: int = 20, by: str = "name") -> str:
                      f"{'':>9}  {rest:>9.3f}  {rest / total_excl:>6.1%}")
 
     metrics = payload.get("metrics") if isinstance(payload, dict) else None
-    hists = histogram_summaries((metrics or {}).get("series", {}))
+    series = (metrics or {}).get("series", {})
+    encoder = sorted(k for k in series if k.startswith("repro_encoder_"))
+    if encoder:
+        lines.append("")
+        lines.append("encoder work (terms visited, clauses, int32 lits, flushes):")
+        lines.extend(f"{key:<32}  {int(series[key]):>10}" for key in encoder)
+    hists = histogram_summaries(series)
     if hists:
         hwidth = max([len(h["name"]) for h in hists] + [9])
         lines.append("")

@@ -39,7 +39,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs import solver_counter_snapshot
+from ..obs import get_tracer, solver_counter_snapshot
 from ..netmodel.packets import same_flow
 from ..netmodel.system import OMEGA, NetworkSMTModel, VerificationNetwork
 from ..smt import And, EnumConst, Eq, Implies, Not, Or, Solver, Term, Xor
@@ -144,10 +144,12 @@ class TransitionSystem:
         self.solver = Solver()
         self.asserted_depth = 0
         self.checks = 0
-        for axiom in base:
-            self.solver.add(axiom)
-        for axiom in self.consistency_axioms():
-            self.solver.add(axiom)
+        with get_tracer().span("transition-encode", cat="proof", depth=depth) as span:
+            for axiom in base:
+                self.solver.add(axiom)
+            for axiom in self.consistency_axioms():
+                self.solver.add(axiom)
+            self.solver.report_encoding(span)
         self.encode_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
@@ -224,9 +226,14 @@ class TransitionSystem:
         if k <= self.asserted_depth:
             return
         started = time.perf_counter()
-        for t in range(self.asserted_depth, k):
-            for axiom in self.model.step_axioms(t):
-                self.solver.add(axiom)
+        with get_tracer().span(
+            "transition-extend", cat="proof", from_depth=self.asserted_depth, to_depth=k
+        ) as span:
+            before = self.solver.encoder_counters()
+            for t in range(self.asserted_depth, k):
+                for axiom in self.model.step_axioms(t):
+                    self.solver.add(axiom)
+            self.solver.report_encoding(span, since=before)
         self.asserted_depth = k
         self.encode_seconds += time.perf_counter() - started
 

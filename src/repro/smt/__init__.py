@@ -2,8 +2,9 @@
 
 The public surface mirrors the small subset of z3py that VMN's encoding
 uses: sorts, term constructors, ``Solver``/``Model``, and uninterpreted
-functions.  See DESIGN.md §2 for why a propositional CDCL core decides
-exactly the formulas VMN generates once time is explicitly quantified.
+functions.  See the README ("Solver internals", *Why a propositional core
+suffices*) for why a propositional CDCL core decides exactly the formulas
+VMN generates once time is explicitly quantified.
 """
 
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver, luby

@@ -10,11 +10,14 @@ exporting the pure-Python arena solver, which implements the same
 algorithm with the same observable behaviour.
 
 :class:`NativeSatSolver` mirrors the :class:`repro.smt.sat.SatSolver`
-public API exactly — ``new_var``/``add_clause``/``push``/``pop``/
-``solve``/``solve_with``/``value``/``core``/``stats`` — keeping the
-parts above the CNF level (scope selectors, DIMACS validation, core
-filtering) in Python where they are cheap, and delegating the search
-hot path to C.
+public API exactly — ``new_var``/``add_clause``/``add_clauses``/
+``push``/``pop``/``solve``/``solve_with``/``value``/``core``/``stats``
+— keeping the parts above the CNF level (scope selectors, DIMACS
+validation, core filtering) in Python where they are cheap, and
+delegating the search hot path to C.  The two bulk crossings are one
+FFI call each: ``add_clauses`` passes the CNF converter's flat
+``[len, lit, ...]`` int32 buffer by address (C validates the literals)
+and a ``sat`` answer copies the whole model out at once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+from array import array
 from typing import List, Optional, Sequence
 
 SAT = "sat"
@@ -125,14 +129,14 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.sat_mark_selector.argtypes = [h, i32]
     lib.sat_add_clause.restype = ctypes.c_int
     lib.sat_add_clause.argtypes = [h, p32, i32]
+    lib.sat_add_clauses.restype = i32
+    lib.sat_add_clauses.argtypes = [h, ctypes.c_void_p, i32]
     lib.sat_gc_lit.restype = None
     lib.sat_gc_lit.argtypes = [h, i32]
     lib.sat_solve.restype = ctypes.c_int
     lib.sat_solve.argtypes = [h, p32, i32, ctypes.c_int64]
-    lib.sat_model_val.restype = i32
-    lib.sat_model_val.argtypes = [h, i32]
-    lib.sat_has_model.restype = ctypes.c_int
-    lib.sat_has_model.argtypes = [h]
+    lib.sat_model_get.restype = None
+    lib.sat_model_get.argtypes = [h, ctypes.c_char_p]
     lib.sat_core_len.restype = i32
     lib.sat_core_len.argtypes = [h]
     lib.sat_core_get.restype = None
@@ -196,6 +200,24 @@ class NativeSatSolver:
             self._ok = False
         return bool(result)
 
+    def add_clauses(self, buf: array) -> bool:
+        """Add a batch of ``[len, lit, ...]`` records with one FFI call
+        (contract: :meth:`repro.smt.sat.SatSolver.add_clauses`)."""
+        if buf.typecode != "i" or buf.itemsize != 4:
+            raise TypeError("add_clauses needs an array('i') of int32")
+        if not self._ok:
+            return False
+        address, n = buf.buffer_info()
+        result = self._lib.sat_add_clauses(self._h, address, n)
+        if result < 0:  # -(offset + 1) of the offending int
+            at = -result - 1
+            raise ValueError(
+                f"unknown variable or malformed record at offset {at} "
+                f"(value {buf[at]})"
+            )
+        self._ok = bool(result)
+        return self._ok
+
     # -- assertion scopes ---------------------------------------------
     def push(self) -> int:
         sel = self.new_var()
@@ -237,10 +259,9 @@ class NativeSatSolver:
                 strengthened=after[2] - before[2],
             )
         if result == 1:
-            lib, h = self._lib, self._h
-            self.model = [None] + [
-                bool(lib.sat_model_val(h, v)) for v in range(1, self.nvars + 1)
-            ]
+            raw = ctypes.create_string_buffer(self.nvars + 1)
+            self._lib.sat_model_get(self._h, raw)
+            self.model = [None, *map(bool, raw.raw[1:])]
             return SAT
         if result == 2:
             return UNKNOWN

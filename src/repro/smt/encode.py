@@ -1,14 +1,16 @@
-"""Lowering of enum-sorted terms to pure boolean terms (bit-blasting).
+"""Bit vectors for enum-sorted terms (bit-blasting).
 
 Each enum variable of sort ``S`` is represented by ``S.nbits`` boolean
 variables holding the binary code of its value, plus — when the sort
 size is not a power of two — a domain constraint excluding the unused
-codes.  Enum constants become tuples of boolean constants, enum ``ite``
-becomes bitwise ``ite``, and enum equality becomes a conjunction of
-per-bit equivalences.
+codes.  Enum constants become tuples of boolean constants and enum
+``ite`` becomes a bitwise ``ite`` over the model's own condition term.
 
-The lowering is structural and memoised, so terms shared across many
-assertions are lowered once per :class:`EnumLowering` instance.
+Nothing here rewrites boolean terms: :class:`repro.smt.cnf.CnfConverter`
+walks the model's terms directly and asks :meth:`EnumLowering.bits_of`
+for the operands of each enum equality it meets, defining the equality
+as a conjunction of per-bit equivalences in CNF.  Bit vectors are
+memoised per :class:`EnumLowering` instance.
 """
 
 from __future__ import annotations
@@ -16,18 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .sorts import EnumSort
-from .terms import (
-    FALSE,
-    TRUE,
-    And,
-    BoolVar,
-    Iff,
-    Ite,
-    Not,
-    Or,
-    Term,
-    iter_dag,
-)
+from .terms import FALSE, TRUE, And, BoolVar, Ite, Not, Or, Term
 
 __all__ = ["EnumLowering", "bit_name"]
 
@@ -45,12 +36,10 @@ def _const_bits(sort: EnumSort, value) -> Tuple[Term, ...]:
 
 
 class EnumLowering:
-    """Rewrites terms containing enum subterms into pure boolean terms."""
+    """Maps enum terms to bit vectors, collecting domain side conditions."""
 
     def __init__(self):
         self._bits: Dict[Term, Tuple[Term, ...]] = {}
-        self._lowered: Dict[Term, Term] = {}
-        self._domain_done: set = set()
         self.side_conditions: List[Term] = []
 
     # ------------------------------------------------------------------
@@ -69,7 +58,7 @@ class EnumLowering:
             )
             self._add_domain_constraint(term, bits)
         elif kind == "ite":
-            cond = self.lower(term.args[0])
+            cond = term.args[0]
             then_bits = self.bits_of(term.args[1])
             else_bits = self.bits_of(term.args[2])
             bits = tuple(
@@ -81,9 +70,6 @@ class EnumLowering:
         return bits
 
     def _add_domain_constraint(self, var: Term, bits: Tuple[Term, ...]) -> None:
-        if var in self._domain_done:
-            return
-        self._domain_done.add(var)
         sort: EnumSort = var.sort  # type: ignore[assignment]
         n = sort.size
         if n == (1 << sort.nbits):
@@ -98,34 +84,6 @@ class EnumLowering:
             else:
                 lt = And(Not(bits[i]), lt)
         self.side_conditions.append(lt)
-
-    # ------------------------------------------------------------------
-    def lower(self, term: Term) -> Term:
-        """Return a pure-boolean term equivalent to boolean ``term``."""
-        cached = self._lowered.get(term)
-        if cached is not None:
-            return cached
-        for node in iter_dag(term):
-            if node in self._lowered or not node.is_bool:
-                continue
-            self._lowered[node] = self._lower_node(node)
-        return self._lowered[term]
-
-    def _lower_node(self, node: Term) -> Term:
-        kind = node.kind
-        if kind in ("true", "false", "var"):
-            return node
-        if kind == "not":
-            return Not(self._lowered[node.args[0]])
-        if kind == "and":
-            return And(*(self._lowered[a] for a in node.args))
-        if kind == "or":
-            return Or(*(self._lowered[a] for a in node.args))
-        if kind == "eq":
-            a_bits = self.bits_of(node.args[0])
-            b_bits = self.bits_of(node.args[1])
-            return And(*(Iff(x, y) for x, y in zip(a_bits, b_bits)))
-        raise TypeError(f"unexpected boolean term kind {kind!r}")
 
     def drain_side_conditions(self) -> List[Term]:
         """Domain constraints accumulated since the last drain."""

@@ -208,6 +208,24 @@ class SatSolver:
         self._attach(cref)
         return True
 
+    def add_clauses(self, buf: Sequence[int]) -> bool:
+        """Add a batch of ``[len, lit, ...]`` records in order.
+
+        Records are taken verbatim, i.e. permanently: the caller (the
+        CNF converter) has already written the scope selector into any
+        scoped record.  Returns False once the solver is trivially
+        unsatisfiable; a malformed record or unknown literal raises
+        ``ValueError`` after the records before it were added.
+        """
+        i, n = 0, len(buf)
+        while i < n:
+            end = i + 1 + buf[i]
+            if buf[i] < 0 or end > n:
+                raise ValueError(f"malformed clause record at offset {i}")
+            self.add_clause(buf[i + 1:end], permanent=True)
+            i = end
+        return self._ok
+
     def _new_clause(self, lits: List[int], learnt: int) -> int:
         arena = self._arena
         arena.append((len(lits) << 1) | learnt)

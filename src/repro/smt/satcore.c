@@ -1160,6 +1160,27 @@ int sat_add_clause(Sat *s, const int32_t *signed_lits, int32_t n) {
     return 1;
 }
 
+/* A batch of [len, lit, ...] records, added in order through
+ * sat_add_clause.  Returns s->ok, or -(offset + 1) of the first int
+ * that is a malformed length or names no variable (earlier records
+ * stay added, as with one call per clause). */
+int32_t sat_add_clauses(Sat *s, const int32_t *buf, int32_t n) {
+    int32_t i = 0;
+    while (i < n && s->ok) {
+        int32_t len = buf[i];
+        if (len < 0 || len > n - i - 1)
+            return -(i + 1);
+        for (int32_t k = i + 1; k <= i + len; k++) {
+            int64_t v = buf[k] < 0 ? -(int64_t)buf[k] : buf[k];
+            if (v < 1 || v > s->nvars)
+                return -(k + 1);
+        }
+        sat_add_clause(s, buf + i + 1, len);
+        i += len + 1;
+    }
+    return s->ok;
+}
+
 /* Drop every clause containing the (now permanently false) literal. */
 void sat_gc_lit(Sat *s, int32_t dead_signed) {
     int32_t v = dead_signed < 0 ? -dead_signed : dead_signed;
@@ -1235,13 +1256,11 @@ int sat_solve(Sat *s, const int32_t *signed_assumps, int32_t n,
     return result;
 }
 
-int32_t sat_model_val(Sat *s, int32_t var) {
-    if (!s->has_model || var < 1 || var > s->nvars)
-        return -1;
-    return s->model[var];
+/* Copies the model into out[1..nvars] (0/1); out needs nvars+1 bytes. */
+void sat_model_get(Sat *s, int8_t *out) {
+    if (s->has_model)
+        memcpy(out + 1, s->model + 1, (size_t)s->nvars);
 }
-
-int sat_has_model(Sat *s) { return s->has_model; }
 
 int32_t sat_core_len(Sat *s) { return s->core.n; }
 

@@ -21,6 +21,12 @@ repeated ``check()`` calls, and the shared :class:`CnfConverter` keeps
 Tseitin variable allocation stable so re-asserting a term seen in any
 earlier scope reuses its existing CNF.  ``stats()`` counters are
 cumulative across calls.
+
+Terms go to the converter as the model built them — one pass, no
+lowered copy: ``add`` calls ``assert_term`` and ``check`` calls
+``literal`` on each assumption, and each call leaves the converter's
+clause buffer empty (see :mod:`repro.smt.cnf`).  Enum-domain side
+conditions discovered during a call are asserted right after it.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ class Solver:
     def __init__(self):
         self.sat = SatSolver()
         self._lowering = EnumLowering()
-        self._cnf = CnfConverter(self.sat)
+        self._cnf = CnfConverter(self.sat, self._lowering)
         self.assertions: List[Term] = []
         self._result: Optional[str] = None
         self._assumption_terms: Dict[int, Term] = {}
@@ -107,14 +113,13 @@ class Solver:
             if not term.is_bool:
                 raise TypeError("Solver.add() expects boolean terms")
             self.assertions.append(term)
-            lowered = self._lowering.lower(term)
+            self._cnf.assert_term(term)
             self._assert_side_conditions()
-            self._cnf.assert_term(lowered)
 
     def _assert_side_conditions(self) -> None:
         # Domain constraints define the enum variables themselves; they
         # must survive the scope that happened to mention a variable
-        # first (the lowering memo never re-emits them).
+        # first (the bit-vector memo never re-emits them).
         for cond in self._lowering.drain_side_conditions():
             self._cnf.assert_term(cond, permanent=True)
 
@@ -152,9 +157,8 @@ class Solver:
         lits = []
         self._assumption_terms = {}
         for term in assumptions:
-            lowered = self._lowering.lower(term)
+            lit = self._cnf.literal(term)
             self._assert_side_conditions()
-            lit = self._cnf.literal(lowered)
             lits.append(lit)
             self._assumption_terms[lit] = term
         tracer = get_tracer()
@@ -264,6 +268,20 @@ class Solver:
         solver's inprocessing pass tightens the permanent clause set.
         """
         return self.sat.stats()
+
+    def encoder_counters(self) -> dict:
+        """Cumulative encoder work of this solver: ``terms`` (DAG nodes
+        visited), ``clauses`` emitted, ``lits`` (int32s handed to the
+        SAT core) and ``flushes`` (batches).  Diff two snapshots."""
+        return dict(self._cnf.counters)
+
+    def report_encoding(self, span, since: Optional[dict] = None) -> None:
+        """Tag ``span`` with the encoder work done since the snapshot
+        ``since`` (default: ever) and absorb it into the registry."""
+        since = since or {}
+        delta = {k: v - since.get(k, 0) for k, v in self._cnf.counters.items()}
+        span.tag(**delta)
+        get_registry().record_encoder(delta)
 
     # ------------------------------------------------------------------
     # Model-extraction plumbing used by Model.

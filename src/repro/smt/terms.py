@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
-from .sorts import BOOL, BoolSort, EnumSort, Sort
+from .sorts import BOOL, EnumSort, Sort
 
 __all__ = [
     "Term",
@@ -49,14 +49,18 @@ __all__ = [
 class Term:
     """An interned term.  Do not construct directly; use the constructors."""
 
-    __slots__ = ("kind", "sort", "args", "payload", "_hash")
+    __slots__ = ("kind", "sort", "args", "payload", "is_bool", "_hash")
 
-    def __init__(self, kind: str, sort: Sort, args: Tuple["Term", ...], payload):
+    def __init__(self, kind: str, sort: Sort, args: Tuple["Term", ...], payload,
+                 key_hash: int):
         self.kind = kind
         self.sort = sort
         self.args = args
         self.payload = payload
-        self._hash = hash((kind, id(sort), tuple(id(a) for a in args), payload))
+        self.is_bool = sort is BOOL
+        # Hash of the intern key (see _mk): and/or arguments are sorted
+        # by it, so it fixes clause order for a fixed memory layout.
+        self._hash = key_hash
 
     def __hash__(self) -> int:
         return self._hash
@@ -82,10 +86,6 @@ class Term:
         """``a >> b`` is implication, matching guarded-command style."""
         return Implies(self, other)
 
-    @property
-    def is_bool(self) -> bool:
-        return isinstance(self.sort, BoolSort)
-
     def __repr__(self) -> str:
         return _pretty(self, depth=3)
 
@@ -95,11 +95,10 @@ _var_sorts: Dict[str, Sort] = {}
 
 
 def _mk(kind: str, sort: Sort, args: Tuple[Term, ...] = (), payload=None) -> Term:
-    key = (kind, id(sort), tuple(id(a) for a in args), payload)
+    key = (kind, id(sort), tuple(map(id, args)), payload)
     term = _intern.get(key)
     if term is None:
-        term = Term(kind, sort, args, payload)
-        _intern[key] = term
+        term = _intern[key] = Term(kind, sort, args, payload, hash(key))
     return term
 
 

@@ -3,7 +3,18 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import SAT, EnumConst, EnumSort, EnumVar, Ne, Solver
+from repro.smt import (
+    SAT,
+    EnumConst,
+    EnumSort,
+    EnumVar,
+    Ite,
+    Ne,
+    Not,
+    Solver,
+    free_vars,
+)
+from repro.smt.encode import EnumLowering, bit_name
 
 
 class TestDomainConstraints:
@@ -55,3 +66,31 @@ class TestDomainConstraints:
         assert s.check() == SAT
         values = {s.model()[x] for x in xs}
         assert values == set(sort.values)
+
+
+class TestBitVectors:
+    """``EnumLowering.bits_of`` — the surface the CNF converter reads."""
+
+    def test_ite_bits_keep_the_models_own_condition(self):
+        sort = EnumSort("B4", ("a", "b", "c", "d"))
+        x, y = EnumVar("bx", sort), EnumVar("by", sort)
+        cond = Ne(y, EnumConst(sort, "a"))  # contains an enum equality
+        lowering = EnumLowering()
+        # "b" = 01, "c" = 10: the two constants differ in both bits.
+        bits = lowering.bits_of(Ite(cond, EnumConst(sort, "b"), EnumConst(sort, "c")))
+        assert bits == (cond, Not(cond))
+        # Only x's bits appear beside the condition; y stays inside it.
+        mixed = lowering.bits_of(Ite(cond, x, EnumConst(sort, "a")))
+        assert {v.payload for v in free_vars(*mixed) if v.is_bool} == {
+            bit_name("bx", 0), bit_name("bx", 1)
+        }
+
+    def test_domain_condition_once_per_variable_and_only_when_needed(self):
+        lowering = EnumLowering()
+        five = EnumVar("d5", EnumSort("S5", tuple(range(5))))
+        four = EnumVar("d4", EnumSort("S4", tuple(range(4))))
+        lowering.bits_of(five)
+        lowering.bits_of(four)
+        assert len(lowering.drain_side_conditions()) == 1
+        lowering.bits_of(five)
+        assert lowering.drain_side_conditions() == []
