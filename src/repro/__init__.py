@@ -16,17 +16,7 @@ A reproduction of Panda et al., NSDI 2017.  The public API:
 * :mod:`repro.baselines` — whole-network and explicit-state baselines.
 """
 
-from .core import (
-    VMN,
-    CanReach,
-    ClassIsolation,
-    DataIsolation,
-    FlowIsolation,
-    Invariant,
-    NodeIsolation,
-    Traversal,
-)
-from .network import SteeringPolicy, Topology
+from ._lazy import lazy_exports
 
 __version__ = "0.9.0"
 
@@ -43,3 +33,18 @@ __all__ = [
     "SteeringPolicy",
     "__version__",
 ]
+
+# Loaded on first use: see repro/_lazy.py for why importing this
+# package must not import the verifier.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "VMN": ".core",
+    "Invariant": ".core",
+    "NodeIsolation": ".core",
+    "FlowIsolation": ".core",
+    "DataIsolation": ".core",
+    "Traversal": ".core",
+    "CanReach": ".core",
+    "ClassIsolation": ".core",
+    "Topology": ".network",
+    "SteeringPolicy": ".network",
+})

@@ -75,8 +75,13 @@ import sys
 import time
 from contextlib import contextmanager
 
+# Module level imports only what every command needs: argparse, the
+# telemetry package and the (stdlib-only) daemon client.  The
+# verification stack — `repro.scenarios`, `repro.serve.service` and all
+# they pull in — loads on the first *in-process* verification, so
+# `list`/`stats`/`top`/`tail`/`serve status` and every `--server` run
+# never pay for it (tests/test_cli.py holds that structurally).
 from . import obs
-from .scenarios import CHURN_GENERATORS, SCENARIOS, ScenarioError
 from .serve.client import (
     DEFAULT_PORT,
     ServerError,
@@ -87,17 +92,13 @@ from .serve.client import (
     server_status,
     shutdown_server,
 )
-from .serve.service import (
-    BadRequest,
-    payload_exit_code,
-    run_audit,
-    run_blame,
-    run_history,
-    run_repair,
-    run_watch,
-)
 
-__all__ = ["main", "SCENARIOS"]
+__all__ = ["main"]
+
+
+class _UsageError(Exception):
+    """The command cannot run as asked (bad spec, unknown scenario,
+    unreachable daemon): ``main`` prints the text and returns 2."""
 
 
 def _add_obs_flags(parser) -> None:
@@ -168,20 +169,26 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+#: What `repro list` prints: scenario -> (paper section, has a churn
+#: stream).  A copy of the registry's names, so that listing them does
+#: not import the scenarios; tests/test_cli.py holds it to
+#: ``repro.scenarios.SCENARIOS`` and ``CHURN_GENERATORS``.
+_SCENARIO_NOTES = {
+    "datacenter": ("Fig 1, §5.1 Rules", False),
+    "datacenter-redundancy": ("§5.1 Redundancy (primary firewall down)", False),
+    "datacenter-traversal": ("§5.1 Traversal (IDPS bypass)", False),
+    "datacenter-caches": ("§5.2 data isolation", False),
+    "enterprise": ("Fig 6, §5.3.1", True),
+    "multitenant": ("§5.3.2 EC2 security groups", True),
+    "isp": ("Fig 9a, §5.3.3 scrubbing", False),
+}
+
+
 def _cmd_list(_args) -> int:
     print("available scenarios (paper section in parentheses):")
-    notes = {
-        "datacenter": "Fig 1, §5.1 Rules",
-        "datacenter-redundancy": "§5.1 Redundancy (primary firewall down)",
-        "datacenter-traversal": "§5.1 Traversal (IDPS bypass)",
-        "datacenter-caches": "§5.2 data isolation",
-        "enterprise": "Fig 6, §5.3.1",
-        "multitenant": "§5.3.2 EC2 security groups",
-        "isp": "Fig 9a, §5.3.3 scrubbing",
-    }
-    for name in SCENARIOS:
-        churn = "  [watchable]" if name in CHURN_GENERATORS else ""
-        print(f"  {name:24s} {notes[name]}{churn}")
+    for name, (note, watchable) in _SCENARIO_NOTES.items():
+        churn = "  [watchable]" if watchable else ""
+        print(f"  {name:24s} {note}{churn}")
     return 0
 
 
@@ -214,15 +221,28 @@ def _spec_from_args(args, command: str) -> dict:
     }
 
 
-def _execute_spec(spec: dict, args, runner) -> dict:
-    """The payload for ``spec`` — from the daemon when ``--server`` was
-    given, in-process otherwise.  The server returns the *full* payload
-    (timings and all); any ``--stable-json`` stripping happens here on
-    the client, with the same code either way."""
+def _execute_spec(spec: dict, args, **state):
+    """``(payload, exit code)`` for ``spec`` — from the daemon when
+    ``--server`` was given, in-process otherwise (``state`` is warm
+    state for the in-process runner: ``store=``).  The server returns
+    the *full* payload (timings and all); any ``--stable-json``
+    stripping happens here on the client, with the same code either
+    way.  The exit code is ``payload_exit_code`` of the payload on both
+    paths: the daemon computes it into the envelope."""
     server = getattr(args, "server", None)
     if server:
-        return _server_request(server, spec)["payload"]
-    return runner(spec)
+        try:
+            envelope = _server_request(server, spec)
+        except ServerError as err:
+            raise _UsageError(str(err)) from err
+        return envelope["payload"], envelope["exit_code"]
+    from .serve import service
+
+    try:
+        payload = service.RUNNERS[spec["command"]](spec, **state)
+    except service.BadRequest as err:
+        raise _UsageError(str(err)) from err
+    return payload, service.payload_exit_code(payload)
 
 
 #: Keys dropped by ``--stable-json``: wall-clock fields, plus solver-
@@ -361,47 +381,23 @@ def _render_repair_text(payload: dict) -> None:
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
-def _cmd_audit(args, prove=None) -> int:
-    spec = _spec_from_args(args, "prove" if prove else "audit")
-    try:
-        payload = _execute_spec(spec, args, run_audit)
-    except (BadRequest, ServerError) as err:
-        print(str(err))
-        return 2
+def _cmd_verify(args, command: str, render, **state) -> int:
+    """audit / prove / watch / repair / blame / history: run the spec,
+    print the payload as JSON or through ``render``."""
+    payload, code = _execute_spec(_spec_from_args(args, command), args,
+                                  **state)
     if args.json or args.stable_json:
         _emit_json(payload, args.stable_json)
     else:
-        _render_audit_text(payload, show_traces=args.show_traces,
-                           prove=bool(prove))
-    return payload_exit_code(payload)
+        render(payload)
+    return code
 
 
-def _cmd_watch(args) -> int:
-    spec = _spec_from_args(args, "watch")
-    try:
-        payload = _execute_spec(spec, args, run_watch)
-    except (BadRequest, ServerError) as err:
-        print(str(err))
-        return 2
-    if args.json or args.stable_json:
-        _emit_json(payload, args.stable_json)
-    else:
-        _render_watch_text(payload)
-    return payload_exit_code(payload)
+def _cmd_audit(args, prove: bool = False) -> int:
+    def render(payload):
+        _render_audit_text(payload, show_traces=args.show_traces, prove=prove)
 
-
-def _cmd_repair(args) -> int:
-    spec = _spec_from_args(args, "repair")
-    try:
-        payload = _execute_spec(spec, args, run_repair)
-    except (BadRequest, ServerError) as err:
-        print(str(err))
-        return 2
-    if args.json or args.stable_json:
-        _emit_json(payload, args.stable_json)
-    else:
-        _render_repair_text(payload)
-    return payload_exit_code(payload)
+    return _cmd_verify(args, "prove" if prove else "audit", render)
 
 
 def _render_blame_text(payload: dict) -> None:
@@ -450,62 +446,38 @@ def _render_history_text(payload: dict) -> None:
                   f"{lineage}/{engine}")
 
 
-def _cmd_blame(args) -> int:
-    spec = _spec_from_args(args, "blame")
-    try:
-        payload = _execute_spec(spec, args, run_blame)
-    except (BadRequest, ServerError) as err:
-        print(str(err))
-        return 2
-    if args.json or args.stable_json:
-        _emit_json(payload, args.stable_json)
-    else:
-        _render_blame_text(payload)
-    return payload_exit_code(payload)
-
-
-def _open_shard_store(store_dir: str, spec: dict):
-    """The store file a daemon over ``store_dir`` would use for the
-    spec's baseline network — same shard-path derivation as
+def _history_store(args):
+    """The store `repro history` reads in-process: the file named by
+    ``--store``, or the shard file a daemon over ``--store-dir`` would
+    use for the scenario's baseline network — same shard-path
+    derivation as
     :meth:`repro.serve.service.VerificationService._store_path`."""
+    from .store import VerdictStore
+
+    if args.store:
+        return VerdictStore.open(args.store)
+    if not args.store_dir:
+        raise _UsageError("history needs --store-dir DIR, --store FILE, "
+                          "or --server URL (timelines live in the store)")
     import hashlib
 
     from .incremental.delta import network_fingerprint
-    from .scenarios import build_scenario
-    from .store import VerdictStore
+    from .scenarios import ScenarioError, build_scenario
 
-    bundle = build_scenario(spec["scenario"], size=spec["size"],
-                            misconfig=spec["misconfig"], seed=spec["seed"])
+    try:
+        bundle = build_scenario(args.scenario, size=args.size,
+                                misconfig=args.misconfig, seed=args.seed)
+    except ScenarioError as err:
+        raise _UsageError(str(err)) from err
     key = network_fingerprint(bundle.topology, bundle.steering)
     digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
-    return VerdictStore.open(os.path.join(store_dir, f"shard-{digest}.store"))
+    return VerdictStore.open(
+        os.path.join(args.store_dir, f"shard-{digest}.store"))
 
 
 def _cmd_history(args) -> int:
-    spec = _spec_from_args(args, "history")
-    try:
-        if args.server:
-            payload = _server_request(args.server, spec)["payload"]
-        else:
-            if args.store:
-                from .store import VerdictStore
-
-                store = VerdictStore.open(args.store)
-            elif args.store_dir:
-                store = _open_shard_store(args.store_dir, spec)
-            else:
-                print("history needs --store-dir DIR, --store FILE, "
-                      "or --server URL (timelines live in the store)")
-                return 2
-            payload = run_history(spec, store=store)
-    except (BadRequest, ScenarioError, ServerError) as err:
-        print(str(err))
-        return 2
-    if args.json or args.stable_json:
-        _emit_json(payload, args.stable_json)
-    else:
-        _render_history_text(payload)
-    return payload_exit_code(payload)
+    state = {} if args.server else {"store": _history_store(args)}
+    return _cmd_verify(args, "history", _render_history_text, **state)
 
 
 def _cmd_serve(args) -> int:
@@ -1113,18 +1085,20 @@ def main(argv=None) -> int:
         return _cmd_tail(args)
     if getattr(args, "jobs", 0) < 0:
         parser.error("--jobs must be >= 0")
-    with _observability(args):
-        if args.command == "blame":
-            return _cmd_blame(args)
-        if args.command == "history":
-            return _cmd_history(args)
-        if args.command == "repair":
-            return _cmd_repair(args)
-        if args.command == "watch":
-            return _cmd_watch(args)
-        if args.command == "prove":
-            return _cmd_audit(args, prove="portfolio")
-        return _cmd_audit(args)
+    try:
+        with _observability(args):
+            if args.command == "blame":
+                return _cmd_verify(args, "blame", _render_blame_text)
+            if args.command == "history":
+                return _cmd_history(args)
+            if args.command == "repair":
+                return _cmd_verify(args, "repair", _render_repair_text)
+            if args.command == "watch":
+                return _cmd_verify(args, "watch", _render_watch_text)
+            return _cmd_audit(args, prove=args.command == "prove")
+    except _UsageError as err:
+        print(str(err))
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -381,11 +381,11 @@ def network_fingerprint(topology: Topology, steering: SteeringPolicy) -> str:
     and repair-candidate deduplication check for.
     """
     nodes = []
-    for name in sorted(topology.graph.nodes):
+    for name in sorted(topology.node_names):
         node = topology.node(name)
         model = canon(node.model, {}) if node.kind == MIDDLEBOX else None
         nodes.append((name, node.kind, node.policy_group, model))
-    links = sorted(tuple(sorted(pair)) for pair in topology.graph.edges)
+    links = sorted(tuple(sorted(pair)) for pair in topology.links)
     chains = tuple(sorted(steering.chains.items()))
     joins = tuple(
         (k, tuple(sorted(v.items()))) for k, v in sorted(steering.joins.items())

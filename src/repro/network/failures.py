@@ -48,6 +48,6 @@ NO_FAILURE = FailureScenario.of("no-failure")
 
 def single_failures(topology, kinds=("middlebox", "switch")) -> Iterator[FailureScenario]:
     """All single-node failure scenarios for the given node kinds."""
-    for node in sorted(topology.graph.nodes):
+    for node in sorted(topology.node_names):
         if topology.node(node).kind in kinds:
             yield FailureScenario.of(f"fail:{node}", nodes=[node])

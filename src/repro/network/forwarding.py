@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
-import networkx as nx
-
 from .failures import NO_FAILURE, FailureScenario
-from .topology import SWITCH, Topology
+from .topology import Topology
 
 __all__ = ["ForwardingEntry", "ForwardingState", "shortest_path_tables"]
 
@@ -82,34 +80,44 @@ def shortest_path_tables(
     stands in for the operator's routing protocol; policy steering
     through middlebox chains happens at transfer-function level
     (:mod:`repro.network.transfer`).
+
+    Among equal-length paths the one a breadth-first search from the
+    destination finds first wins, neighbours visited in the order of
+    :attr:`Topology.links`.  Every table, trace and ``--stable-json``
+    byte downstream depends on that tie-break, so
+    ``tests/network/test_forwarding_reference.py`` pins it against an
+    independent reference.
     """
-    alive = nx.Graph()
-    for node in topology.graph.nodes:
-        if scenario.node_ok(node):
-            alive.add_node(node)
-    for a, b in topology.graph.edges:
-        if scenario.node_ok(a) and scenario.node_ok(b) and scenario.link_ok(a, b):
-            alive.add_edge(a, b)
-
-    non_switch = [n for n in alive.nodes if topology.node(n).kind != SWITCH]
+    node_ok, link_ok = scenario.node_ok, scenario.link_ok
     tables: Dict[str, List[ForwardingEntry]] = {
-        n.name: [] for n in topology.switches if scenario.node_ok(n.name)
+        n.name: [] for n in topology.switches if node_ok(n.name)
     }
+    # Only switches forward, so a search never leaves a node for anything
+    # but a surviving switch: keep just those neighbours.
+    toward: Dict[str, List[str]] = {
+        n: [] for n in topology.node_names if node_ok(n)
+    }
+    for a, b in topology.links:
+        if a in toward and b in toward and link_ok(a, b):
+            if b in tables:
+                toward[a].append(b)
+            if a in tables:
+                toward[b].append(a)
 
-    for dst in non_switch:
-        # Shortest paths to dst that do not route through other edge nodes.
-        pruned = alive.copy()
-        for n in non_switch:
-            if n != dst:
-                pruned.remove_node(n)
-        if dst not in pruned:
+    for dst in toward:
+        if dst in tables:
             continue
-        paths = nx.single_source_shortest_path(pruned, dst)
-        for switch in tables:
-            path = paths.get(switch)
-            if path is None or len(path) < 2:
-                continue
-            next_hop = path[-2]  # path is dst -> ... -> switch
-            tables[switch].append(ForwardingEntry(frozenset({dst}), next_hop))
+        reached = {dst}
+        level = [dst]
+        while level:
+            found = []
+            for hop in level:
+                for switch in toward[hop]:
+                    if switch not in reached:
+                        reached.add(switch)
+                        found.append(switch)
+                        tables[switch].append(
+                            ForwardingEntry(frozenset({dst}), hop))
+            level = found
 
     return ForwardingState(tables)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 __all__ = ["HOST", "SWITCH", "MIDDLEBOX", "Node", "Topology"]
 
 HOST = "host"
@@ -33,18 +31,25 @@ class Node:
 
 
 class Topology:
-    """An undirected physical topology with typed nodes."""
+    """An undirected physical topology with typed nodes.
+
+    Nodes and each node's neighbours are kept in insertion order
+    (:attr:`node_names`, :attr:`links`): shortest-path tie-breaking in
+    :func:`repro.network.forwarding.shortest_path_tables` follows that
+    order, so two topologies built by the same sequence of calls route
+    identically.
+    """
 
     def __init__(self):
         self._nodes: Dict[str, Node] = {}
-        self.graph = nx.Graph()
+        self._adj: Dict[str, Dict[str, None]] = {}
 
     # ------------------------------------------------------------------
     def _add(self, node: Node) -> Node:
         if node.name in self._nodes:
             raise ValueError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
-        self.graph.add_node(node.name)
+        self._adj[node.name] = {}
         return node
 
     def add_host(self, name: str, policy_group: Optional[str] = None) -> Node:
@@ -63,7 +68,8 @@ class Topology:
                 raise KeyError(f"unknown node {n!r}")
         if a == b:
             raise ValueError("self-links are not allowed")
-        self.graph.add_edge(a, b)
+        self._adj[a][b] = None
+        self._adj[b][a] = None
 
     # ------------------------------------------------------------------
     # Mutation API (incremental verification applies NetworkDeltas here)
@@ -73,16 +79,18 @@ class Topology:
         if name not in self._nodes:
             raise KeyError(f"unknown node {name!r}")
         node = self._nodes.pop(name)
-        self.graph.remove_node(name)
+        for neighbor in self._adj.pop(name):
+            del self._adj[neighbor][name]
         return node
 
     def remove_link(self, a: str, b: str) -> None:
-        if not self.graph.has_edge(a, b):
+        if not self.has_link(a, b):
             raise KeyError(f"no link between {a!r} and {b!r}")
-        self.graph.remove_edge(a, b)
+        del self._adj[a][b]
+        del self._adj[b][a]
 
     def has_link(self, a: str, b: str) -> bool:
-        return self.graph.has_edge(a, b)
+        return b in self._adj.get(a, ())
 
     def replace_middlebox(self, model) -> object:
         """Swap the model of the middlebox named ``model.name``; links
@@ -102,8 +110,24 @@ class Topology:
     def __contains__(self, name: str) -> bool:
         return name in self._nodes
 
+    @property
+    def node_names(self) -> List[str]:
+        """Every node name, in insertion order."""
+        return list(self._nodes)
+
+    @property
+    def links(self) -> List[Tuple[str, str]]:
+        """Every link once, grouped by its earlier-inserted end (in
+        node order), each group in the order the links were added."""
+        links = []
+        listed = set()
+        for a, neighbors in self._adj.items():
+            links.extend((a, b) for b in neighbors if b not in listed)
+            listed.add(a)
+        return links
+
     def neighbors(self, name: str) -> List[str]:
-        return sorted(self.graph.neighbors(name))
+        return sorted(self._adj[name])
 
     def _of_kind(self, kind: str) -> List[Node]:
         return [n for n in self._nodes.values() if n.kind == kind]
@@ -144,7 +168,7 @@ class Topology:
     def describe(self) -> str:
         return (
             f"Topology({len(self.hosts)} hosts, {len(self.switches)} switches, "
-            f"{len(self.middleboxes)} middleboxes, {self.graph.number_of_edges()} links)"
+            f"{len(self.middleboxes)} middleboxes, {len(self.links)} links)"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -19,14 +19,7 @@ timings, cache-hit flags, solver-effort counters, and proof-search
 artifacts like which portfolio engine won).
 """
 
-from .client import ServerError, request, server_status, shutdown_server
-from .service import (
-    VerificationService,
-    payload_exit_code,
-    run_audit,
-    run_repair,
-    run_watch,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "VerificationService",
@@ -39,3 +32,17 @@ __all__ = [
     "shutdown_server",
     "ServerError",
 ]
+
+# Loaded on first use: a ``--server`` client imports ``.client`` (stdlib
+# only) and must not drag in ``.service`` and the verifier behind it.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "VerificationService": ".service",
+    "run_audit": ".service",
+    "run_watch": ".service",
+    "run_repair": ".service",
+    "payload_exit_code": ".service",
+    "request": ".client",
+    "server_status": ".client",
+    "shutdown_server": ".client",
+    "ServerError": ".client",
+})

@@ -16,9 +16,8 @@ state or an error, never an unannounced cold run.
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from typing import Optional
+from urllib.parse import urlsplit
 
 __all__ = [
     "ServerError",
@@ -55,41 +54,69 @@ def normalize_url(server: str) -> str:
     return server
 
 
-def _call(server: str, path: str, body: Optional[dict],
-          timeout: float) -> dict:
+def _fetch(server: str, path: str, body: Optional[dict], timeout: float,
+           accept: str = "application/json") -> bytes:
+    """The body of a 200 reply to one request (POST when ``body`` is
+    given, else GET) on a fresh connection; anything else raises
+    :class:`ServerError`."""
+    # Imported on first request, not with this module: the CLI imports
+    # the module for every command, and http.client (with ssl behind
+    # it) is most of what `repro list` or `repro stats` would load.
+    import http.client
+
     url = normalize_url(server) + path
+    parts = urlsplit(url)
     data = None
-    headers = {"Accept": "application/json"}
+    headers = {"Accept": accept}
     if body is not None:
         data = json.dumps(body).encode("utf-8")
         headers["Content-Type"] = "application/json"
-    req = urllib.request.Request(url, data=data, headers=headers,
-                                 method="POST" if body is not None else "GET")
+    if parts.scheme != "http" or not parts.hostname:
+        raise ServerError(f"not an http://host:port address: {url}")
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            raw = resp.read()
-    except urllib.error.HTTPError as err:
-        raw = err.read()
+        conn = http.client.HTTPConnection(parts.hostname, parts.port,
+                                          timeout=timeout)
         try:
-            detail = json.loads(raw.decode("utf-8")).get("error", "")
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            detail = raw.decode("utf-8", "replace")[:200]
+            conn.request("POST" if body is not None else "GET",
+                         parts.path + (f"?{parts.query}" if parts.query else ""),
+                         body=data, headers=headers)
+            resp = conn.getresponse()
+            raw = resp.read()
+        finally:
+            conn.close()
+    except (OSError, ValueError, http.client.HTTPException) as err:
         raise ServerError(
-            f"server {url} answered {err.code}: {detail or err.reason}",
-            status=err.code,
-        ) from err
-    except (urllib.error.URLError, OSError) as err:
-        reason = getattr(err, "reason", err)
-        raise ServerError(
-            f"cannot reach server {url}: {reason} "
+            f"cannot reach server {url}: {err} "
             "(is `repro serve start` running?)"
         ) from err
+    if resp.status != 200:
+        try:
+            detail = json.loads(raw.decode("utf-8")).get("error", "")
+        except (UnicodeDecodeError, ValueError, AttributeError):
+            detail = raw.decode("utf-8", "replace")[:200]
+        raise ServerError(
+            f"server {url} answered {resp.status}: {detail or resp.reason}",
+            status=resp.status,
+        )
+    return raw
+
+
+def _fetch_json(server: str, path: str, body: Optional[dict],
+                timeout: float) -> dict:
+    raw = _fetch(server, path, body, timeout)
     try:
-        payload = json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ServerError(f"server {url} sent non-JSON: {err}") from err
+        raise ServerError(
+            f"server {normalize_url(server)} sent non-JSON: {err}") from err
+
+
+def _call(server: str, path: str, body: Optional[dict],
+          timeout: float) -> dict:
+    payload = _fetch_json(server, path, body, timeout)
     if not isinstance(payload, dict) or not payload.get("ok", False):
-        raise ServerError(f"server {url} error: {payload!r}")
+        raise ServerError(
+            f"server {normalize_url(server)} error: {payload!r}")
     return payload
 
 
@@ -110,22 +137,8 @@ def server_status(server: str, timeout: float = 10.0) -> dict:
 
 def server_metrics(server: str, timeout: float = 10.0) -> str:
     """GET /metrics — the raw Prometheus text exposition."""
-    url = normalize_url(server) + "/metrics"
-    req = urllib.request.Request(url, headers={"Accept": "text/plain"})
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.read().decode("utf-8", "replace")
-    except urllib.error.HTTPError as err:
-        raise ServerError(
-            f"server {url} answered {err.code}: {err.reason}",
-            status=err.code,
-        ) from err
-    except (urllib.error.URLError, OSError) as err:
-        reason = getattr(err, "reason", err)
-        raise ServerError(
-            f"cannot reach server {url}: {reason} "
-            "(is `repro serve start` running?)"
-        ) from err
+    raw = _fetch(server, "/metrics", None, timeout, accept="text/plain")
+    return raw.decode("utf-8", "replace")
 
 
 def recent_requests(server: str, n: Optional[int] = None,
@@ -139,28 +152,8 @@ def request_trace(server: str, request_id: str,
                   timeout: float = 10.0) -> dict:
     """GET /v1/requests/<id>/trace — a retained slow-request trace
     (the same run-record JSON ``repro stats`` loads)."""
-    url = normalize_url(server) + f"/v1/requests/{request_id}/trace"
-    req = urllib.request.Request(url, headers={"Accept": "application/json"})
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            raw = resp.read()
-    except urllib.error.HTTPError as err:
-        raw = err.read()
-        try:
-            detail = json.loads(raw.decode("utf-8")).get("error", "")
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            detail = raw.decode("utf-8", "replace")[:200]
-        raise ServerError(
-            f"server {url} answered {err.code}: {detail or err.reason}",
-            status=err.code,
-        ) from err
-    except (urllib.error.URLError, OSError) as err:
-        reason = getattr(err, "reason", err)
-        raise ServerError(f"cannot reach server {url}: {reason}") from err
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ServerError(f"server {url} sent non-JSON: {err}") from err
+    return _fetch_json(server, f"/v1/requests/{request_id}/trace", None,
+                       timeout)
 
 
 def shutdown_server(server: str, timeout: float = 10.0) -> dict:

@@ -100,6 +100,15 @@ class ReproServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Replies go out whole and at once (see _send): with Nagle's
+    # algorithm on, whatever follows a reply's first segment waits for
+    # the peer's ACK of it, and a peer that has nothing to send back
+    # delays that ACK by ~40 ms — longer than a warm hit takes to serve.
+    disable_nagle_algorithm = True
+    #: True from the start of a POST until its body has been read.  A
+    #: reply sent meanwhile also ends the connection (see _send): the
+    #: unread bytes would otherwise be parsed as the next request.
+    _body_unread = False
 
     # -- logging -------------------------------------------------------
     # Access lines are *events*, not print statements: they go through
@@ -141,32 +150,51 @@ class _Handler(BaseHTTPRequestHandler):
             sys.stderr.write("serve: %s\n" % (fmt % args))
 
     # -- plumbing ------------------------------------------------------
+    def _send(self, status: int, content_type: str, body: bytes,
+              headers: Optional[dict] = None) -> None:
+        """Status line, headers and body in **one** write, hence one
+        TCP segment train with nothing held back."""
+        self.log_request(status, len(body))
+        head = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
+        head += [f"{key}: {value}" for key, value in (headers or {}).items()]
+        if self._body_unread:
+            self.close_connection = True
+            head.append("Connection: close")
+        head += ["", ""]
+        self.wfile.write("\r\n".join(head).encode("latin-1") + body)
+
     def _send_json(self, status: int, obj: dict,
                    headers: Optional[dict] = None) -> None:
-        body = (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in (headers or {}).items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # Compact: both clients re-render, and without ``indent`` the C
+        # encoder does the work.
+        body = (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+        self._send(status, "application/json", body, headers)
 
     def _send_text(self, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, "text/plain; charset=utf-8", text.encode("utf-8"))
 
     def _read_spec(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body as a spec dict, or ``None`` after answering
+        why not."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(400, {"ok": False, "error": "bad Content-Length"})
+            return None
         if length > MAX_BODY:
             self._send_json(413, {"ok": False,
                                   "error": f"body over {MAX_BODY} bytes"})
             return None
         raw = self.rfile.read(length) if length else b"{}"
+        self._body_unread = False
         try:
             spec = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
@@ -256,6 +284,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):  # noqa: N802 (stdlib name)
         self._started = time.perf_counter()
+        self._body_unread = True
         if self.path == "/v1/run":
             self._post_run()
         elif self.path == "/v1/blame":

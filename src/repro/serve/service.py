@@ -60,6 +60,7 @@ __all__ = [
     "run_repair",
     "run_blame",
     "run_history",
+    "RUNNERS",
     "payload_exit_code",
     "VerificationService",
 ]
@@ -566,7 +567,8 @@ def run_history(
     }
 
 
-_RUNNERS = {
+#: command -> runner; what every execution path dispatches through.
+RUNNERS = {
     "audit": run_audit,
     "prove": run_audit,
     "watch": run_watch,
@@ -831,7 +833,7 @@ class VerificationService:
         share a span tree, and the daemon's global tracer stays inert,
         so span memory cannot grow with uptime."""
         spec = normalize_spec(spec)
-        runner = _RUNNERS[spec["command"]]
+        runner = RUNNERS[spec["command"]]
         bundle = _bundle_for(spec)
         registry = obs.get_registry()
         request_id = self._new_request_id()

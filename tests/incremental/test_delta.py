@@ -36,9 +36,9 @@ def snapshot(topo, steering):
     return {
         "nodes": {
             n: (topo.node(n).kind, topo.node(n).policy_group)
-            for n in sorted(topo.graph.nodes)
+            for n in sorted(topo.node_names)
         },
-        "links": {tuple(sorted(e)) for e in topo.graph.edges},
+        "links": {tuple(sorted(e)) for e in topo.links},
         "configs": {
             mb.name: (type(mb.model).__name__, tuple(mb.model.config_pairs()))
             for mb in topo.middleboxes

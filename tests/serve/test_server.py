@@ -7,8 +7,10 @@ semantics (parity, sharding, persistence) are tested socket-free in
 test_service.py / test_persistence.py.
 """
 
+import http.client
 import io
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -145,6 +147,69 @@ class TestEndpoints:
         with urllib.request.urlopen(req, timeout=10) as resp:
             body = json.loads(resp.read().decode("utf-8"))
         assert body == {"ok": True, "shards": []}
+
+
+def _exchange(server, raw: bytes) -> bytes:
+    """Send ``raw`` on a fresh connection and return everything the
+    server writes until it closes (5 s without a byte fails)."""
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestRefusedBodies:
+    """A request refused before its body was read: answered at once,
+    and the connection closed so the unread bytes are never parsed as a
+    second request."""
+
+    SMUGGLED = b"GET /status HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    def _refused(self, server, content_length: str, status: int):
+        reply = _exchange(
+            server,
+            b"POST /v1/run HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + content_length.encode() + b"\r\n\r\n" + self.SMUGGLED)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert reply.count(b"HTTP/1.1 ") == 1  # the body was not served
+        assert b"Connection: close" in reply
+        assert json.loads(reply.partition(b"\r\n\r\n")[2])["ok"] is False
+
+    def test_negative_content_length_is_400_not_a_blocked_read(self, server):
+        self._refused(server, "-1", 400)
+
+    def test_non_numeric_content_length_is_400(self, server):
+        self._refused(server, "lots", 400)
+
+    def test_oversized_body_is_413_and_closes(self, server):
+        self._refused(server, str(MAX_BODY + 1), 413)
+
+    def test_unread_control_body_does_not_poison_keep_alive(self, server):
+        """/v1/checkpoint takes no spec and never reads a body; a
+        keep-alive client that sent one must still get its next reply."""
+        conn = http.client.HTTPConnection(*server.server_address[:2],
+                                          timeout=10)
+        try:
+            conn.request("POST", "/v1/checkpoint", body=b"{}")
+            first = conn.getresponse()
+            assert first.status == 200 and json.loads(first.read())["ok"]
+            conn.request("GET", "/healthz")
+            second = conn.getresponse()
+            assert second.status == 200
+            assert json.loads(second.read()) == {"ok": True,
+                                                 "protocol": PROTOCOL}
+        finally:
+            conn.close()
+
+    def test_replies_are_compact_json(self, server):
+        reply = _exchange(server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                                  b"Connection: close\r\n\r\n")
+        assert reply.endswith(b'\r\n\r\n{"ok":true,"protocol":"%s"}\n'
+                              % PROTOCOL.encode())
 
 
 class TestStatusSchema:

@@ -2,32 +2,46 @@
 
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
-from repro.cli import SCENARIOS, main
+from repro.cli import main
+from repro.scenarios import CHURN_GENERATORS, SCENARIOS
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def _run_cli(*args: str, expect_rc: int = 0) -> str:
     """Run the CLI in a fresh interpreter and return its stdout."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "repro", *args],
-        capture_output=True, text=True, env=env, check=False,
+        capture_output=True, text=True, env=_env(), check=False,
     )
     assert proc.returncode == expect_rc, proc.stdout + proc.stderr
     return proc.stdout
 
 
 class TestList:
-    def test_lists_all_scenarios(self, capsys):
+    def test_lists_exactly_the_registry(self, capsys):
+        """`list` prints a static copy of the registry's names (so that
+        it need not import the scenarios); this holds the copy to the
+        registry and to the churn generators."""
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in SCENARIOS:
-            assert name in out
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in rows] == list(SCENARIOS)
+        assert ({row[0] for row in rows if row[-1] == "[watchable]"}
+                == set(CHURN_GENERATORS))
 
 
 class TestAudit:
@@ -265,12 +279,9 @@ class TestExitCodes:
     shell `&&`/`if` behaviour is what is actually tested."""
 
     def _rc(self, *args: str) -> int:
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
             [sys.executable, "-m", "repro", *args],
-            capture_output=True, env=env, check=False,
+            capture_output=True, env=_env(), check=False,
         ).returncode
 
     def test_clean_audit_is_zero(self):
@@ -420,3 +431,197 @@ class TestTopAndTail:
 
     def test_top_unreachable_server_exits_2(self, capsys):
         assert main(["top", "--server", "127.0.0.1:1", "-n", "1"]) == 2
+
+
+# ----------------------------------------------------------------------
+# Start-up, transport and exit: properties of structure, not of speed
+# ----------------------------------------------------------------------
+_HEAVY = ("repro.core", "repro.netmodel", "repro.smt", "repro.scenarios",
+          "repro.network", "repro.serve.service", "networkx")
+
+_PROBE = """
+import contextlib, io, json, sys
+from repro.cli import main
+
+def loaded(prefixes):
+    return sorted(m for m in sys.modules
+                  if any(m == p or m.startswith(p + ".") for p in prefixes))
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+import repro
+print(json.dumps({
+    "codes": codes,
+    "stdout": out.getvalue(),
+    "loaded": loaded(json.loads(sys.argv[2])),
+    "dir_lists_all": set(repro.__all__) <= set(dir(repro)),
+    "vmn": repro.VMN.__module__,
+}))
+"""
+
+
+def _probe(commands, prefixes) -> dict:
+    """Run ``main(argv)`` for each of ``commands`` in one fresh
+    interpreter; report exit codes, stdout, and which modules under
+    ``prefixes`` ended up in ``sys.modules``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(commands),
+         json.dumps(prefixes)],
+        capture_output=True, text=True, env=_env(), check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestStartUp:
+    """What a command imports is part of its cost: the thin commands
+    and every `--server` run must not load the verification stack."""
+
+    def test_thin_commands_load_no_verification_stack(self, tmp_path):
+        trace = tmp_path / "run.json"
+        assert main(["audit", "enterprise", "--size", "2", "--json",
+                     "--trace", str(trace)]) == 1
+        srv, thread = TestTopAndTail._daemon()
+        try:
+            report = _probe(
+                [["list"],
+                 ["stats", str(trace)],
+                 ["audit", "enterprise", "--size", "2", "--stable-json",
+                  "--server", srv.url],
+                 ["serve", "status", "--server", srv.url],
+                 ["top", "--server", srv.url, "-n", "1"],
+                 ["tail", "--server", srv.url]],
+                _HEAVY)
+        finally:
+            srv.shutdown()
+            thread.join(timeout=10)
+            srv.close()
+        assert report["codes"] == [0, 0, 1, 0, 0, 0]
+        assert report["loaded"] == []
+        # ... and the server-mediated audit really ran.
+        assert '"command": "audit"' in report["stdout"]
+        # The package still offers its public names, on demand.
+        assert report["dir_lists_all"]
+        assert report["vmn"] == "repro.core.vmn"
+
+    def test_in_process_audit_loads_what_it_uses(self):
+        # (`repro.proof` is absent from this list on purpose: `repro.core`
+        # imports it through core/prove.py whatever the command.)
+        report = _probe([["audit", "enterprise", "--size", "2"]],
+                        ["networkx", "repro.repair"])
+        assert report["codes"] == [1]
+        assert report["loaded"] == []
+
+
+class _CountingSocket:
+    """The server end of a socketpair, recording each write the handler
+    makes and the socket options it asks for."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends = []
+        self.options = []
+
+    def sendall(self, data):
+        self.sends.append(len(data))
+        return self._sock.sendall(data)
+
+    def send(self, data):
+        self.sends.append(len(data))
+        return self._sock.send(data)
+
+    def setsockopt(self, *args):
+        self.options.append(args)  # AF_UNIX has no TCP options to set
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _read_reply(sock):
+    """(status, raw length) of the next HTTP reply on ``sock``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-reply"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(re.search(rb"content-length: (\d+)", head, re.I).group(1))
+    while len(body) < length:
+        body += sock.recv(65536)
+    assert len(body) == length
+    return int(head.split()[1]), len(head) + 4 + length
+
+
+class TestOneWritePerReply:
+    def test_every_reply_is_one_send_with_nagle_off(self):
+        """The invariant behind warm-hit latency: a reply that leaves in
+        two writes has its second half held back until the peer's
+        delayed ACK (~40 ms).  Asserted as a property of the handler —
+        one send per reply, TCP_NODELAY requested — not as a timing."""
+        from repro.serve.server import ReproServer, _Handler
+        from repro.serve.service import VerificationService
+
+        srv = ReproServer(("127.0.0.1", 0), VerificationService(), quiet=True)
+        ours, theirs = socket.socketpair()
+        counting = _CountingSocket(theirs)
+        handler = threading.Thread(
+            target=_Handler, args=(counting, ("test", 0), srv), daemon=True)
+        handler.start()
+        spec = json.dumps({"command": "audit", "scenario": "enterprise",
+                           "size": 2}).encode()
+        requests = [
+            b"GET /healthz HTTP/1.1\r\n\r\n",
+            b"GET /metrics HTTP/1.1\r\n\r\n",
+            b"GET /nope HTTP/1.1\r\n\r\n",
+            b"POST /v1/run HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(spec), spec),                      # a 10 kB+ reply
+            b"POST /v1/run HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]",
+            b"POST /v1/checkpoint HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+        ]
+        try:
+            replies = []
+            for raw in requests:
+                ours.sendall(raw)
+                replies.append(_read_reply(ours))
+            handler.join(timeout=10)  # the checkpoint reply closes
+            assert not handler.is_alive()
+        finally:
+            ours.close()
+            theirs.close()
+            srv.close()
+        assert [status for status, _ in replies] == [200, 200, 404, 200,
+                                                     400, 200]
+        assert counting.sends == [size for _, size in replies]
+        assert max(counting.sends) > 8192
+        assert (socket.IPPROTO_TCP, socket.TCP_NODELAY, True) in counting.options
+
+
+class TestHardExit:
+    """`python -m repro` leaves through os._exit; everything a command
+    produced must be complete by then."""
+
+    ARGV = [sys.executable, "-m", "repro", "audit", "enterprise",
+            "--size", "3", "--no-cache", "--json"]
+
+    def test_piped_stdout_and_trace_file_are_complete(self, tmp_path):
+        from repro import obs
+
+        trace = tmp_path / "run.json"
+        proc = subprocess.run(self.ARGV + ["--trace", str(trace)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=_env(), check=False)
+        assert proc.returncode == 1, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert len(payload["checks"]) == payload["n_checks"] > 0
+        spans = obs.load_spans(obs.load_trace(str(trace)))
+        assert any(span["name"] == "audit" for span in spans)
+
+    def test_closed_stdout_is_an_error_not_a_traceback(self):
+        proc = subprocess.Popen(self.ARGV, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=_env())
+        proc.stdout.close()  # the reader goes away before the first byte
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in stderr and b"BrokenPipe" not in stderr
