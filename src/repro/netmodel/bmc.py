@@ -11,12 +11,16 @@ NAT mappings); failure events add a constant per failure allowed.
 
 Since the solver stack went incremental, every check runs through a
 :class:`IncrementalBMC` driver that owns one *warm* solver per network
-encoding:
+encoding (the machinery is :class:`repro.netmodel.unrolling.Unrolling`,
+shared with the proof engines' transition system):
 
-* the step-independent axioms are asserted once at construction,
-* the transition relation is asserted one timestep at a time
-  (:meth:`IncrementalBMC.extend_to` — steps ``0..k-1`` are never
-  re-encoded when deepening to ``k``),
+* the step-independent axioms and the empty start are asserted once at
+  construction, where the transition relation is also encoded — once,
+  as a step template,
+* each timestep is then asserted by instantiating that template over
+  the step's variables (:meth:`IncrementalBMC.extend_to` — steps
+  ``0..k-1`` are never re-encoded when deepening to ``k``, and no
+  step's terms are ever built again),
 * the property is **assumed**, not asserted
   (``check(assumptions=[violation@k])``), so one solver instance
   answers any invariant at any depth while retaining learned clauses
@@ -35,7 +39,7 @@ driver walks depths ``1..depth`` on the warm solver and stops at the
 first violation; verdicts per depth equal what a from-scratch solve at
 that depth concludes.  ``canonical_trace=True`` replaces the raw model
 decode with the lexicographically-least violating schedule (computed by
-assumption-pinned minimization), which is identical no matter which
+bitwise minimization under scoped pins), which is identical no matter which
 solver state produced the verdict — that is what lets the equivalence
 tests demand byte-identical traces from the warm and cold paths.
 """
@@ -47,12 +51,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from ..obs import SOLVER_COUNTER_KEYS, get_registry, get_tracer, solver_counter_snapshot
-from ..smt import SAT, UNSAT, EnumConst, Eq, Solver, Term
+from ..obs import SOLVER_COUNTER_KEYS, get_registry, get_tracer
+from ..smt import SAT, UNSAT, Not, Term
 from .canon import Unfingerprintable, canon
 from .events import EventKind
-from .system import NetworkSMTModel, VerificationNetwork
+from .system import VerificationNetwork
 from .trace import Trace, decode_trace
+from .unrolling import Unrolling
 
 __all__ = [
     "VIOLATED",
@@ -129,8 +134,8 @@ SOLVER_COUNTERS = SOLVER_COUNTER_KEYS
 _COUNTER_KEYS = SOLVER_COUNTERS
 
 
-class IncrementalBMC:
-    """One warm solver over one network encoding.
+class IncrementalBMC(Unrolling):
+    """One warm solver over one network encoding, from the empty start.
 
     The model's events exist for all ``depth`` timesteps from the
     start; the base (step-independent) axioms are asserted at
@@ -141,70 +146,6 @@ class IncrementalBMC:
     schedule always extends with noops, verdicts match a from-scratch
     encode at that depth.
     """
-
-    def __init__(
-        self,
-        net: VerificationNetwork,
-        n_packets: int,
-        depth: int,
-        failure_budget: int = 0,
-        n_ports: int = 6,
-        n_tags: int = 4,
-        rule_guards=None,
-    ):
-        started = time.perf_counter()
-        self.net = net
-        with get_tracer().span(
-            "encode", cat="bmc", depth=depth, n_packets=n_packets
-        ) as span:
-            self.model = NetworkSMTModel(
-                net,
-                n_packets=n_packets,
-                depth=depth,
-                failure_budget=failure_budget,
-                n_ports=n_ports,
-                n_tags=n_tags,
-                rule_guards=rule_guards,
-            )
-            self.solver = Solver()
-            self.asserted_depth = 0
-            self.checks = 0
-            for axiom in self.model.base_axioms():
-                self.solver.add(axiom)
-            self.solver.report_encoding(span)
-        self.encode_seconds = time.perf_counter() - started
-
-    @property
-    def model_depth(self) -> int:
-        return self.model.depth
-
-    def counters(self) -> dict:
-        """Cumulative solver counters (diff snapshots per check).
-
-        Missing keys read as 0 so an older solver core (e.g. the
-        vendored pre-rewrite oracle in ``benchmarks/_sat_reference.py``,
-        which predates the inprocessing counters) still satisfies the
-        schema.
-        """
-        return solver_counter_snapshot(self.solver.stats())
-
-    def extend_to(self, k: int) -> None:
-        """Assert the transition relation up to step ``k`` (exclusive
-        of deeper steps); already-asserted steps are never re-encoded."""
-        k = min(k, self.model.depth)
-        if k <= self.asserted_depth:
-            return
-        started = time.perf_counter()
-        with get_tracer().span(
-            "extend", cat="bmc", from_depth=self.asserted_depth, to_depth=k
-        ) as span:
-            before = self.solver.encoder_counters()
-            for t in range(self.asserted_depth, k):
-                for axiom in self.model.step_axioms(t):
-                    self.solver.add(axiom)
-            self.solver.report_encoding(span, since=before)
-        self.asserted_depth = k
-        self.encode_seconds += time.perf_counter() - started
 
     def assumptions_at(self, invariant, k: int) -> List[Term]:
         """The assumption set deciding ``invariant`` at depth ``k``:
@@ -241,14 +182,14 @@ class IncrementalBMC:
     def canonical_trace(self, invariant, k: int, presolved: bool = False) -> Trace:
         """The lexicographically-least violating schedule at depth ``k``.
 
-        Works by assumption-pinned greedy minimization: fields are
-        fixed in schedule order (kind, sender, receiver, packet per
-        step; then the fields of each sent packet), each to the least
-        sort value still satisfiable together with the violation and
-        the pins so far.  The result depends only on the encoded
-        problem — not on learned clauses, activities, or any other
-        solver state — so warm and cold solvers produce byte-identical
-        traces.
+        Works by greedy minimization: fields are fixed in schedule
+        order (kind, sender, receiver, packet per step; then the fields
+        of each sent packet), each to the least sort value still
+        satisfiable together with the violation and the pins so far —
+        found bit by bit, in at most ``nbits`` queries per field.  The
+        result depends only on the encoded problem — not on learned
+        clauses, activities, or any other solver state — so warm and
+        cold solvers produce byte-identical traces.
 
         ``presolved=True`` promises the solver's last answer was
         ``sat`` for exactly this ``(invariant, k)`` assumption set,
@@ -256,43 +197,48 @@ class IncrementalBMC:
         re-solving it.
         """
         base = self.assumptions_at(invariant, k)
-        if not presolved and self.solver.check(assumptions=base) != SAT:
+        solver = self.solver
+        if not presolved and self.check_at(invariant, k) != SAT:
             raise RuntimeError(f"no violation at depth {k} to canonicalize")
-        state = {"model": self.solver.model()}
-        pins: List[Term] = []
+        model = solver.model()
 
         def pin(var: Term):
-            sort = var.sort
-            current = state["model"][var]
-            chosen = current
-            for value in sort.values:
-                if value == current:
-                    break  # the witness already attains the minimum
-                cand = Eq(var, EnumConst(sort, value))
-                if self.solver.check(assumptions=base + pins + [cand]) == SAT:
-                    state["model"] = self.solver.model()
-                    chosen = value
-                    break
-            pins.append(Eq(var, EnumConst(sort, chosen)))
-            return chosen
+            # Value order is code order, so the least value is the least
+            # code: clear its bits MSB first, asking the solver only
+            # about bits the witness has set (out-of-range codes are
+            # excluded by the sort's domain constraint).
+            nonlocal model
+            for bit in reversed(solver.bits_of(var)):
+                if model[bit]:
+                    if solver.check(assumptions=base + [Not(bit)]) != SAT:
+                        solver.add(bit)
+                        continue
+                    model = solver.model()
+                solver.add(Not(bit))
+            return model[var]
 
-        sent: List[int] = []
-        for t in range(k):
-            ev = self.model.events[t]
-            kind = pin(ev.kind)
-            if kind == EventKind.NOOP:
-                break  # noops are a canonical suffix; nothing else prints
-            pin(ev.frm)
-            if kind == EventKind.SEND:
-                pin(ev.to)
-                sent.append(pin(ev.pkt))
-        for index in sorted(set(sent)):
-            p = self.model.schema.packets[index]
-            for var in (p.src, p.dst, p.sport, p.dport, p.origin, p.tag):
-                pin(var)
-        if self.solver.check(assumptions=base + pins) != SAT:
-            raise RuntimeError("canonical pins became unsatisfiable")
-        return self.decode()
+        # Pins are asserted in a scope, not assumed: a query then costs
+        # the violation plus one literal, however long the schedule.
+        solver.push()
+        try:
+            sent: List[int] = []
+            for t in range(k):
+                ev = self.model.events[t]
+                kind = pin(ev.kind)
+                if kind == EventKind.NOOP:
+                    break  # noops are a canonical suffix; nothing else prints
+                pin(ev.frm)
+                if kind == EventKind.SEND:
+                    pin(ev.to)
+                    sent.append(pin(ev.pkt))
+            for index in sorted(set(sent)):
+                p = self.model.schema.packets[index]
+                for var in (p.src, p.dst, p.sport, p.dport, p.origin, p.tag):
+                    pin(var)
+            # ``model`` is the last sat answer and satisfies every pin.
+            return decode_trace(model, self.model)
+        finally:
+            solver.pop()
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,14 @@ Key design points, mirroring the paper:
 * **History-defined state.**  The paper's firewall axiom defines
   ``established(flow(p))`` as "a permitted packet of the flow was
   received since the last failure" — state is a predicate over event
-  history, not a mutable cell.  We encode all middlebox state this way,
-  with linear-size recurrences over timesteps (no frame axioms).
+  history, not a mutable cell.  We encode all middlebox state this way:
+  each history predicate is one boolean *state variable* per timestep
+  (:meth:`ModelContext.history_at`), and its value after an event is a
+  function of the state and the event before it
+  (:meth:`ModelContext.next_state`).  The transition relation is
+  therefore the same formula at every timestep, up to renaming the
+  step's variables — which is what lets the drivers encode it once
+  (:meth:`NetworkSMTModel.generic_step`).
 
 * **Pseudo-node Ω.**  All sends go to Ω; Ω delivers per the transfer
   rules, and only with justification ("Ω previously received this
@@ -42,12 +48,14 @@ from ..smt import (
     EnumConst,
     EnumSort,
     Eq,
+    Iff,
     Implies,
     Not,
     Or,
     Term,
     UFunc,
     at_most_k,
+    substitute,
 )
 from .events import EventKind, EventVars, make_events, make_kind_sort
 from .packets import PacketSchema, SymPacket
@@ -59,6 +67,7 @@ __all__ = [
     "ModelContext",
     "NetworkSMTModel",
     "RuleGuards",
+    "TimeDependentModelError",
     "fresh_ns",
 ]
 
@@ -71,6 +80,12 @@ _ns_counter = itertools.count()
 def fresh_ns(prefix: str = "vmn") -> str:
     """A unique namespace for one verification problem's declarations."""
     return f"{prefix}{next(_ns_counter)}"
+
+
+class TimeDependentModelError(ValueError):
+    """The transition relation is not the same formula at every
+    timestep (a middlebox model's ``branches`` made its terms depend on
+    ``t``), so a step template would silently encode the wrong system."""
 
 
 @dataclass(frozen=True)
@@ -175,14 +190,18 @@ class RuleGuards:
 class ModelContext:
     """Shared helpers middlebox models and invariants build axioms from.
 
-    All history predicates are defined by linear recurrences over
-    timesteps and cached, so the resulting term DAG (and hence the CNF)
-    stays linear in the unrolling depth.
+    History predicates are explicit state: one boolean variable per
+    (state atom, timestep), for timesteps ``0..depth``.  Atoms are
+    named by structural keys — ``("rcv", node, p, since_fail)``,
+    ``("snt", node, p)``, ``("failed", node)`` — that are stable across
+    rebuilds of the same network, which is what lets proof certificates
+    be re-checked on an independent encoding.  The atom set is total
+    and fixed at construction (:attr:`state_keys`), so the per-step
+    formula never depends on which predicates an invariant asks for.
     """
 
     def __init__(self, net: VerificationNetwork, schema: PacketSchema,
                  events: List[EventVars], node_sort: EnumSort, ns: str,
-                 free_init: bool = False,
                  rule_guards: Optional[RuleGuards] = None):
         self.net = net
         self.schema = schema
@@ -191,22 +210,25 @@ class ModelContext:
         self.ns = ns
         self.depth = len(events)
         self.packets: List[SymPacket] = schema.packets
-        self.free_init = free_init
         #: Blame-probe guards (``None`` outside dedicated probes).
         #: Middlebox models read this duck-typed via
         #: ``getattr(ctx, "rule_guards", None)`` — see
         #: :func:`repro.mboxes.base.acl_pairs_term`.
         self.rule_guards = rule_guards
-        #: Structural key -> the boolean variable standing in for the
-        #: predicate's value at time 0 (only populated in free-init
-        #: mode).  Keys are ``("rcv", node, p, since_fail)``,
-        #: ``("snt", node, p)`` and ``("failed", node)`` — stable across
-        #: model rebuilds of the same network, which is what lets proof
-        #: certificates be re-checked on an independent encoding.
-        self.init_atoms: "Dict[tuple, Term]" = {}
-        self._rcv_cache: Dict[tuple, Term] = {}
-        self._sent_net_cache: Dict[tuple, Term] = {}
-        self._failed_cache: Dict[tuple, Term] = {}
+        #: The state vector: atom key -> its variable per timestep, in
+        #: the order proof cubes list the atoms.
+        self.state_keys: Dict[tuple, Dict[int, Term]] = {}
+        mboxes = set(net.mbox_names)
+        for n in net.node_names:
+            if n == OMEGA:
+                continue
+            for p in self.packets:
+                self.state_keys[("rcv", n, p.index, False)] = {}
+                self.state_keys[("snt", n, p.index)] = {}
+                if n in mboxes:
+                    self.state_keys[("rcv", n, p.index, True)] = {}
+            if n in mboxes:
+                self.state_keys[("failed", n)] = {}
         self._oracles: Dict[str, UFunc] = {}
         self.extra_axioms: List[Term] = []
 
@@ -222,30 +244,32 @@ class ModelContext:
     # ------------------------------------------------------------------
     # Event history predicates
     # ------------------------------------------------------------------
-    def _init_atom(self, key: tuple) -> Term:
-        """The free boolean standing in for a history predicate at
-        time 0 (free-init mode): the "arbitrary starting state" the
-        unbounded proof engines quantify over."""
-        atom = self.init_atoms.get(key)
+    def history_at(self, key: tuple, t: int) -> Term:
+        """The state variable of atom ``key`` at time ``t``: the history
+        predicate's value over the events strictly before ``t``."""
+        at = self.state_keys[key]  # KeyError: not a state atom of this network
+        atom = at.get(t)
         if atom is None:
-            atom = BoolVar(f"{self.ns}:init:" + ":".join(map(str, key)))
-            self.init_atoms[key] = atom
+            atom = at[t] = BoolVar(f"{self.ns}:s{t}:" + ":".join(map(str, key)))
         return atom
 
-    def history_at(self, key: tuple, t: int) -> Term:
-        """The history predicate named by an init-atom ``key`` at time
-        ``t`` — the "next-state function" of the proof engines' state
-        vector (at ``t=0`` it is the init atom itself)."""
-        kind = key[0]
-        if kind == "rcv":
-            _, node, p_index, since_fail = key
-            return self.rcv_before(node, p_index, t, since_fail=since_fail)
-        if kind == "snt":
-            _, node, p_index = key
-            return self.sent_to_net_before(node, p_index, t)
+    def next_state(self, key: tuple, t: int) -> Term:
+        """``history_at(key, t + 1)`` as a function of the state and the
+        event at ``t`` — the next-state function of one state atom."""
+        prev = self.history_at(key, t)
+        ev = self.events[t]
+        kind, node = key[0], key[1]
         if kind == "failed":
-            return self.failed_at(key[1], t)
-        raise KeyError(f"unknown state-atom key {key!r}")
+            return And(Or(prev, ev.fail_of(node)), Not(ev.recover_of(node)))
+        if kind == "snt":
+            return Or(prev, ev.snd(node, OMEGA, key[2]))
+        got = self.rcv_at(node, key[2], t)
+        if not key[3]:
+            return Or(prev, got)
+        # Received since the last failure: a failure clears it, and a
+        # packet delivered to a node that is down does not count.
+        got = And(got, Not(self.failed_at(node, t)))
+        return Or(And(prev, Not(ev.fail_of(node))), got)
 
     def rcv_at(self, node: str, p_index: int, t: int) -> Term:
         """Event ``t`` delivers packet ``p_index`` to ``node``."""
@@ -261,64 +285,15 @@ class ModelContext:
         use for middlebox *state* (which failure clears), per the paper's
         ``established`` axiom.
         """
-        key = (node, p_index, t, since_fail)
-        cached = self._rcv_cache.get(key)
-        if cached is not None:
-            return cached
-        if t <= 0:
-            term = (
-                self._init_atom(("rcv", node, p_index, since_fail))
-                if self.free_init
-                else Or()
-            )
-        else:
-            prev = self.rcv_before(node, p_index, t - 1, since_fail)
-            ev = self.events[t - 1]
-            got = self.rcv_at(node, p_index, t - 1)
-            if since_fail:
-                got = And(got, Not(self.failed_at(node, t - 1)))
-                term = Or(And(prev, Not(ev.fail_of(node))), got)
-            else:
-                term = Or(prev, got)
-        self._rcv_cache[key] = term
-        return term
+        return self.history_at(("rcv", node, p_index, since_fail), t)
 
     def sent_to_net_before(self, node: str, p_index: int, t: int) -> Term:
         """``node`` handed packet ``p_index`` to Ω at some step before ``t``."""
-        key = (node, p_index, t)
-        cached = self._sent_net_cache.get(key)
-        if cached is not None:
-            return cached
-        if t <= 0:
-            term = (
-                self._init_atom(("snt", node, p_index))
-                if self.free_init
-                else Or()
-            )
-        else:
-            prev = self.sent_to_net_before(node, p_index, t - 1)
-            term = Or(prev, self.events[t - 1].snd(node, OMEGA, p_index))
-        self._sent_net_cache[key] = term
-        return term
+        return self.history_at(("snt", node, p_index), t)
 
     def failed_at(self, node: str, t: int) -> Term:
         """``node`` is down at step ``t`` (events strictly before ``t``)."""
-        key = (node, t)
-        cached = self._failed_cache.get(key)
-        if cached is not None:
-            return cached
-        if t <= 0:
-            term = (
-                self._init_atom(("failed", node))
-                if self.free_init
-                else Or()
-            )
-        else:
-            prev = self.failed_at(node, t - 1)
-            ev = self.events[t - 1]
-            term = And(Or(prev, ev.fail_of(node)), Not(ev.recover_of(node)))
-        self._failed_cache[key] = term
-        return term
+        return self.history_at(("failed", node), t)
 
     def delivered_to_before(self, node: str, p_index: int, t: int) -> Term:
         """Alias of :meth:`rcv_before` kept for invariant readability."""
@@ -412,7 +387,15 @@ class _DepthView:
 
 
 class NetworkSMTModel:
-    """Builds the grounded formula for one (network, depth) pair."""
+    """Builds the grounded formula for one (network, depth) pair.
+
+    The model is a transition system over the explicit state of
+    :class:`ModelContext`: :meth:`step_axioms` constrain one step's
+    event against the state before it, ``ctx.next_state`` gives the
+    state after it, :meth:`init_axioms` pin the empty start (the proof
+    engines leave it arbitrary) and :meth:`base_axioms` hold whatever
+    is not tied to one step.
+    """
 
     def __init__(
         self,
@@ -423,7 +406,6 @@ class NetworkSMTModel:
         n_ports: int = 6,
         n_tags: int = 4,
         ns: Optional[str] = None,
-        free_init: bool = False,
         rule_guards: Optional[RuleGuards] = None,
     ):
         if depth < 1:
@@ -431,7 +413,6 @@ class NetworkSMTModel:
         self.net = net
         self.depth = depth
         self.failure_budget = failure_budget
-        self.free_init = free_init
         self.ns = ns if ns is not None else fresh_ns()
         self.schema = PacketSchema(
             self.ns, net.addresses, n_packets, n_ports=n_ports, n_tags=n_tags
@@ -442,29 +423,19 @@ class NetworkSMTModel:
             self.ns, depth, kind_sort, self.node_sort, self.schema.pkt_sort
         )
         self.ctx = ModelContext(net, self.schema, self.events, self.node_sort,
-                                self.ns, free_init=free_init,
-                                rule_guards=rule_guards)
+                                self.ns, rule_guards=rule_guards)
         self._step_cache: Dict[int, List[Term]] = {}
         self._base_cache: Optional[List[Term]] = None
 
     # ------------------------------------------------------------------
     def step_axioms(self, t: int) -> List[Term]:
-        """The transition relation of timestep ``t`` (memoized).
-
-        Asserting ``step_axioms(0..k-1)`` plus :meth:`base_axioms`
-        constrains the first ``k`` steps exactly as a ``depth=k`` model
-        would; the warm BMC driver deepens by asserting one more step,
-        never re-encoding the prefix.
-        """
+        """The transition relation of timestep ``t`` (memoized): what
+        event ``t`` may be, given the state at ``t``."""
         cached = self._step_cache.get(t)
         if cached is not None:
             return cached
         ev = self.events[t]
         out: List[Term] = []
-        # Canonical schedules: noops form a suffix.  Sound because a
-        # noop changes nothing; it only prunes the oracle's search.
-        if t + 1 < self.depth:
-            out.append(Implies(ev.is_noop, self.events[t + 1].is_noop))
         out.extend(self._failure_axioms(ev, t, list(self.net.mbox_names)))
         out.extend(self._host_axioms(ev, t))
         out.extend(self._mbox_axioms(ev, t))
@@ -473,19 +444,82 @@ class NetworkSMTModel:
         self._step_cache[t] = out
         return out
 
-    def base_axioms(self) -> List[Term]:
-        """The step-independent axioms (memoized).
+    def step_variables(self, t: int) -> Tuple[List[Term], List[Term]]:
+        """(inputs, outputs) of step ``t``: the state and the four event
+        variables it reads, and the state variables it defines."""
+        keys = self.ctx.state_keys
+        ev = self.events[t]
+        inputs = [self.ctx.history_at(key, t) for key in keys]
+        inputs += [ev.kind, ev.frm, ev.to, ev.pkt]
+        return inputs, [self.ctx.history_at(key, t + 1) for key in keys]
 
-        Failure budget, middlebox global axioms, extra axioms and
-        oracle congruence all range over oracle applications and state
-        registered while the per-step axioms are built, so this forces
-        every step's terms first; the result is valid for any asserted
-        prefix (future steps are satisfied by extending with noops).
+    def generic_step(self) -> Tuple[List[Term], List[Tuple[Term, Term]], List[Term]]:
+        """Step 0 as the generic transition relation T(state, event,
+        rigid): ``(asserted, defined, inputs)`` where ``defined`` pairs
+        each state variable at time 1 with its next-state function.
+
+        Substituting :meth:`step_variables` of any other step for those
+        of step 0 gives that step — *provided* the model is
+        time-homogeneous, which nothing in the middlebox protocol
+        enforces (``branches`` receives ``t``).  So step 1 is built
+        too and must be step 0 up to that renaming, and must register
+        no oracle application, guard or extra axiom step 0 did not;
+        anything else raises :class:`TimeDependentModelError`.
+        """
+        ctx = self.ctx
+
+        def step(t: int):
+            inputs, outputs = self.step_variables(t)
+            defined = [
+                (out, ctx.next_state(key, t))
+                for key, out in zip(ctx.state_keys, outputs)
+            ]
+            formula = And(*self.step_axioms(t),
+                          *(Implies(out, nxt) for out, nxt in defined))
+            return inputs, outputs, defined, formula
+
+        def registered() -> tuple:
+            return (
+                [(name, len(fn.applications)) for name, fn in ctx._oracles.items()],
+                len(ctx.extra_axioms),
+                len(ctx.rule_guards or ()),
+            )
+
+        inputs, outputs, defined, generic = step(0)
+        if self.depth > 1:
+            before = registered()
+            later_in, later_out, _, later = step(1)
+            shift = dict(zip(later_in + later_out, inputs + outputs))
+            if substitute(later, shift) is not generic or registered() != before:
+                raise TimeDependentModelError(
+                    f"{self.ns}: the transition relation at t=1 is not the "
+                    "one at t=0 renamed; a middlebox model depends on t"
+                )
+        return self.step_axioms(0), defined, inputs
+
+    def init_axioms(self) -> List[Term]:
+        """The empty start: every history predicate false at time 0."""
+        return [Not(self.ctx.history_at(key, 0)) for key in self.ctx.state_keys]
+
+    def base_axioms(self) -> List[Term]:
+        """The axioms not tied to one step (memoized).
+
+        Noop-suffix links, failure budget, middlebox global axioms,
+        extra axioms and oracle congruence.  The last three range over
+        oracle applications registered while a step is built, so this
+        builds step 0 first (every other step registers the same ones —
+        :meth:`generic_step` checks); the result is valid for any
+        asserted prefix (future steps are satisfied by extending with
+        noops).
         """
         if self._base_cache is None:
-            for t in range(self.depth):
-                self.step_axioms(t)
-            out: List[Term] = []
+            self.step_axioms(0)
+            # Canonical schedules: noops form a suffix.  Sound because a
+            # noop changes nothing; it only prunes the oracle's search.
+            out: List[Term] = [
+                Implies(ev.is_noop, nxt.is_noop)
+                for ev, nxt in zip(self.events, self.events[1:])
+            ]
             out.extend(self._failure_budget_axioms())
             for m in self.net.middleboxes:
                 out.extend(m.global_axioms(self.ctx))
@@ -495,10 +529,17 @@ class NetworkSMTModel:
         return self._base_cache
 
     def axioms(self) -> List[Term]:
-        """All axioms of the network model (invariant not included)."""
+        """All axioms of the network model (start state and invariant
+        not included), every step built and unrolled as terms — the
+        slow reference the templated drivers are tested against."""
+        ctx = self.ctx
         out: List[Term] = []
         for t in range(self.depth):
             out.extend(self.step_axioms(t))
+            out.extend(
+                Iff(ctx.history_at(key, t + 1), ctx.next_state(key, t))
+                for key in ctx.state_keys
+            )
         out.extend(self.base_axioms())
         return out
 

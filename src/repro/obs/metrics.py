@@ -294,7 +294,8 @@ class MetricsRegistry:
 
     def record_encoder(self, delta: dict) -> None:
         """Fold one encoding batch's work (terms visited, clauses,
-        int32 lits, flushes) into ``repro_encoder_<key>_total``."""
+        int32 lits, flushes, template steps instanced) into
+        ``repro_encoder_<key>_total``."""
         for key, n in delta.items():
             if n:
                 self.counter(f"repro_encoder_{key}_total", f"CNF-encoder {key}").inc(n)

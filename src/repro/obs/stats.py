@@ -181,7 +181,8 @@ def render_stats(payload: dict, top: int = 20, by: str = "name") -> str:
     encoder = sorted(k for k in series if k.startswith("repro_encoder_"))
     if encoder:
         lines.append("")
-        lines.append("encoder work (terms visited, clauses, int32 lits, flushes):")
+        lines.append("encoder work (terms visited, clauses, int32 lits, flushes, "
+                     "template steps instanced):")
         lines.extend(f"{key:<32}  {int(series[key]):>10}" for key in encoder)
     hists = histogram_summaries(series)
     if hists:

@@ -1,12 +1,11 @@
 """The network encoding as a transition system with a free initial state.
 
-The BMC encoding grounds every history predicate (``rcv_before``,
+The BMC driver pins every history predicate (``rcv_before``,
 ``sent_to_net_before``, ``failed_at``) to *false* at time 0 — schedules
 start from the empty network.  Unbounded proof engines instead reason
-from an **arbitrary** starting state: :class:`TransitionSystem` builds
-the same :class:`repro.netmodel.system.NetworkSMTModel`, but in
-``free_init`` mode, where each history predicate's time-0 value is a
-free boolean variable (a *state atom*).  The per-step axioms then act
+from an **arbitrary** starting state: :class:`TransitionSystem` is the
+same :class:`repro.netmodel.unrolling.Unrolling` with the time-0 state
+variables (the *state atoms*) left free.  The step template then acts
 as the transition relation over that state vector, and the invariant's
 violation term becomes the "bad event" predicate.
 
@@ -25,24 +24,24 @@ real system, so asserting it on the arbitrary state keeps every proof
 sound while pruning the spurious counterexamples-to-induction that
 would otherwise dominate.
 
-The solver discipline mirrors :class:`repro.netmodel.bmc.IncrementalBMC`:
+The solver discipline is :class:`repro.netmodel.bmc.IncrementalBMC`'s:
 one warm solver per transition system, base + consistency axioms
-asserted once, step axioms asserted on demand (:meth:`extend_to`),
-everything else — properties, cubes, frames, simple-path constraints —
-assumed or pushed in scopes, so k-induction and IC3 can interleave
-queries on one shared instance (and :class:`repro.netmodel.bmc.SolverPool`
-can keep it warm across invariants and network versions).
+asserted once, steps instantiated from the template on demand
+(:meth:`extend_to`), everything else — properties, cubes, frames,
+simple-path constraints — assumed or pushed in scopes, so k-induction
+and IC3 can interleave queries on one shared instance (and
+:class:`repro.netmodel.bmc.SolverPool` can keep it warm across
+invariants and network versions).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs import get_tracer, solver_counter_snapshot
 from ..netmodel.packets import same_flow
-from ..netmodel.system import OMEGA, NetworkSMTModel, VerificationNetwork
-from ..smt import And, EnumConst, Eq, Implies, Not, Or, Solver, Term, Xor
+from ..netmodel.system import OMEGA
+from ..netmodel.unrolling import Unrolling
+from ..smt import And, EnumConst, Eq, Implies, Not, Or, Term, Xor
 
 __all__ = [
     "TransitionSystem",
@@ -76,58 +75,23 @@ def is_history_lit(lit: Lit) -> bool:
     return key[0] in HISTORY_KINDS and value is True
 
 
-class TransitionSystem:
+class TransitionSystem(Unrolling):
     """One warm free-initial-state unrolling of a network encoding."""
 
-    def __init__(
-        self,
-        net: VerificationNetwork,
-        n_packets: int,
-        depth: int,
-        failure_budget: int = 0,
-        n_ports: int = 6,
-        n_tags: int = 4,
-        rule_guards=None,
-    ):
-        started = time.perf_counter()
-        self.net = net
-        self.model = NetworkSMTModel(
-            net,
-            n_packets=n_packets,
-            depth=depth,
-            failure_budget=failure_budget,
-            n_ports=n_ports,
-            n_tags=n_tags,
-            free_init=True,
-            rule_guards=rule_guards,
-        )
+    _SPANS = ("proof", "transition-encode", "transition-extend")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         ctx = self.model.ctx
-        # Register the full state vector up front (the encoding would
-        # discover most of it lazily, but proof cubes and certificates
-        # need the atom set to be total and identical across rebuilds
-        # of the same network).
-        nodes = [n for n in net.node_names if n != OMEGA]
-        mboxes = set(net.mbox_names)
-        for n in nodes:
-            for p in ctx.packets:
-                ctx.rcv_before(n, p.index, 0)
-                ctx.sent_to_net_before(n, p.index, 0)
-                if n in mboxes:
-                    ctx.rcv_before(n, p.index, 0, since_fail=True)
-            if n in mboxes:
-                ctx.failed_at(n, 0)
-        base = self.model.base_axioms()  # forces every step's terms too
-        self.atoms: List[tuple] = list(ctx.init_atoms)
-        self.fields: List[tuple] = [
-            ("field", p.index, name)
-            for p in ctx.packets
-            for name in _FIELD_NAMES
-        ]
+        #: The state vector: total, and identical across rebuilds of the
+        #: same network (proof cubes and certificates name atoms by key).
+        self.atoms: List[tuple] = list(ctx.state_keys)
         self._field_vars: Dict[tuple, Term] = {
             ("field", p.index, name): getattr(p, name)
             for p in ctx.packets
             for name in _FIELD_NAMES
         }
+        self.fields: List[tuple] = list(self._field_vars)
         # Derived rigid predicates: the facts middlebox state actually
         # turns on (flow identity, request-ness) rather than the raw
         # port/tag values realizing them.  Cubes that pin these instead
@@ -141,36 +105,25 @@ class TransitionSystem:
                 if q.index < p.index:
                     self._derived[("rel", q.index, p.index)] = same_flow(q, p)
         self.derived: List[tuple] = list(self._derived)
-        self.solver = Solver()
-        self.asserted_depth = 0
-        self.checks = 0
-        with get_tracer().span("transition-encode", cat="proof", depth=depth) as span:
-            for axiom in base:
-                self.solver.add(axiom)
-            for axiom in self.consistency_axioms():
-                self.solver.add(axiom)
-            self.solver.report_encoding(span)
-        self.encode_seconds = time.perf_counter() - started
+
+    def _start_axioms(self) -> List[Term]:
+        """Time 0 is an arbitrary *consistent* state, not the empty one."""
+        return self.consistency_axioms()
 
     # ------------------------------------------------------------------
     # State vocabulary
     # ------------------------------------------------------------------
-    @property
-    def model_depth(self) -> int:
-        return self.model.depth
-
     @property
     def ctx(self):
         return self.model.ctx
 
     def atom_var(self, key: tuple) -> Term:
         """The free time-0 variable of one state atom."""
-        return self.model.ctx.init_atoms[key]
+        return self.model.ctx.history_at(key, 0)
 
     def atom_at(self, key: tuple, t: int) -> Term:
-        """The state atom's value at time ``t`` (``t=0`` is the free
-        variable; deeper times are the history recurrences — the
-        next-state function)."""
+        """The state atom's variable at time ``t`` (defined by the
+        transition relation once step ``t - 1`` is asserted)."""
         return self.model.ctx.history_at(key, t)
 
     def field_var(self, key: tuple) -> Term:
@@ -181,7 +134,7 @@ class TransitionSystem:
             return key in self._field_vars
         if key[0] in ("rel", "req"):
             return key in self._derived
-        return key in self.model.ctx.init_atoms
+        return key in self.model.ctx.state_keys
 
     def lit_term(self, lit: Lit, t: int) -> Term:
         """One cube literal as a term over the state at time ``t``
@@ -220,23 +173,6 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     # Solver discipline (mirrors IncrementalBMC)
     # ------------------------------------------------------------------
-    def extend_to(self, k: int) -> None:
-        """Assert the transition relation of steps ``0..k-1``."""
-        k = min(k, self.model.depth)
-        if k <= self.asserted_depth:
-            return
-        started = time.perf_counter()
-        with get_tracer().span(
-            "transition-extend", cat="proof", from_depth=self.asserted_depth, to_depth=k
-        ) as span:
-            before = self.solver.encoder_counters()
-            for t in range(self.asserted_depth, k):
-                for axiom in self.model.step_axioms(t):
-                    self.solver.add(axiom)
-            self.solver.report_encoding(span, since=before)
-        self.asserted_depth = k
-        self.encode_seconds += time.perf_counter() - started
-
     def noop_assumptions(self, from_t: int) -> List[Term]:
         """Noop pins for every step at or beyond ``from_t`` — the same
         trick the warm BMC driver uses to make one unrolling decide
@@ -259,12 +195,6 @@ class TransitionSystem:
             assumptions=assumptions, max_conflicts=max_conflicts
         )
 
-    def counters(self) -> dict:
-        """Cumulative solver counters, keyed by the canonical
-        :data:`repro.obs.SOLVER_COUNTER_KEYS` (missing keys read 0 so a
-        pickled pre-inprocessing solver still satisfies the schema)."""
-        return solver_counter_snapshot(self.solver.stats())
-
     # ------------------------------------------------------------------
     # Simple-path strengthening
     # ------------------------------------------------------------------
@@ -280,7 +210,7 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     def consistency_axioms(self) -> List[Term]:
         """Invariants of every *reachable* state, asserted on the free
-        initial state (each propagates through the recurrences, so
+        initial state (each propagates through the transition relation, so
         time 0 is the only place they need asserting).
 
         Soundness: each axiom below holds in every state the real
@@ -304,13 +234,14 @@ class TransitionSystem:
             for n in nodes
             for p in ctx.packets
         }
-        for key, atom in list(ctx.init_atoms.items()):
+        for key in ctx.state_keys:
             # Received-since-failure is a subset of received.
             if key[0] == "rcv" and key[3]:
-                out.append(Implies(atom, ctx.rcv_before(key[1], key[2], 0)))
+                out.append(Implies(ctx.history_at(key, 0),
+                                   ctx.rcv_before(key[1], key[2], 0)))
             # Steady state (no failure budget): nothing is ever down.
             if key[0] == "failed" and self.model.failure_budget == 0:
-                out.append(Not(atom))
+                out.append(Not(ctx.history_at(key, 0)))
         for p in ctx.packets:
             senders = Or(*(snt[(n, p.index)] for n in nodes))
             for n in nodes:

@@ -125,6 +125,8 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.sat_free.argtypes = [h]
     lib.sat_new_var.restype = i32
     lib.sat_new_var.argtypes = [h]
+    lib.sat_new_vars.restype = i32
+    lib.sat_new_vars.argtypes = [h, i32]
     lib.sat_mark_selector.restype = None
     lib.sat_mark_selector.argtypes = [h, i32]
     lib.sat_add_clause.restype = ctypes.c_int
@@ -179,6 +181,15 @@ class NativeSatSolver:
     def new_var(self) -> int:
         self.nvars = int(self._lib.sat_new_var(self._h))
         return self.nvars
+
+    def new_vars(self, n: int) -> int:
+        """``n`` consecutive fresh variables with one FFI call; returns
+        the first (contract: :meth:`repro.smt.sat.SatSolver.new_vars`)."""
+        first = self.nvars + 1
+        if n > 0:
+            self._lib.sat_new_vars(self._h, n)
+            self.nvars += n
+        return first
 
     def _check_lits(self, lits: Sequence[int]) -> None:
         nvars = self.nvars
@@ -277,9 +288,8 @@ class NativeSatSolver:
         return self.solve(assumptions, **kw)
 
     def value(self, var: int) -> Optional[bool]:
-        if not self.model:
-            return None
-        return self.model[abs(var)]
+        var = abs(var)
+        return self.model[var] if var < len(self.model) else None
 
     # -- statistics ----------------------------------------------------
     @property

@@ -24,6 +24,13 @@ invariant: the buffer is empty whenever a public converter call
 ``solve``/``stats`` need no flush hook.  A scoped assertion's selector
 is written into its record when the record is buffered.
 
+A clause set that recurs with only its variables changed — the
+network model's transition relation, once per timestep — is encoded
+once: :meth:`CnfConverter.record` runs the ordinary pass over one
+instance and keeps the records that mention a per-instance variable as
+a :class:`ClauseTemplate`; :meth:`CnfConverter.instantiate` re-emits
+them through a variable table (no term is built or walked again).
+
 Variable allocation is *stable across solver scopes*: definition
 clauses only ever constrain a subterm's fresh Tseitin variable relative
 to its arguments' variables, so they are valid in every scope and are
@@ -43,19 +50,45 @@ referring to the same subterms across every scope and deepening step.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .encode import EnumLowering
 from .sat import PySatSolver, SatSolver
 from .terms import FALSE, TRUE, Term
 
-__all__ = ["CnfConverter"]
+__all__ = ["CnfConverter", "ClauseTemplate"]
 
 POS = 1
 NEG = 2
 BOTH = POS | NEG
 _FLIP = (0, NEG, POS, BOTH)  # polarity mask seen through a negation
+
+
+@dataclass(frozen=True)
+class ClauseTemplate:
+    """Clause records with holes, made by :meth:`CnfConverter.record`.
+
+    The recorded variables fall into three classes: *rigid* ones (every
+    variable and subterm that mentions no parameter — shared by all
+    instances, their definitions already in the solver), *holes* (the
+    parameter bits and the defined outputs, supplied per instance) and
+    *locals* (Tseitin variables of subterms that do mention a
+    parameter — fresh per instance, one block).  ``slots`` holds one
+    index per recorded int into a per-instance value table laid out as
+    ``[clause lengths | +rigid +holes +locals | -rigid -holes -locals]``,
+    so instantiating is a slice fill and one C-level ``map``.
+    """
+
+    slots: array      # value-table index per templated int
+    base: List[int]   # value table with lengths and rigid variables filled
+    roots: List[int]  # literals asserting the recorded instance
+    clauses: int      # records per instance
+    lengths: int      # table entries holding clause lengths
+    rigid: int        # variables shared by every instance
+    holes: int        # parameter bits + outputs per instance
+    local: int        # fresh Tseitin variables per instance
 
 
 class CnfConverter:
@@ -75,9 +108,14 @@ class CnfConverter:
         self._add_clauses = getattr(sat, "add_clauses", None) or partial(
             PySatSolver.add_clauses, sat
         )
+        self._new_vars = getattr(sat, "new_vars", None) or partial(
+            PySatSolver.new_vars, sat
+        )
         #: Cumulative encoder work: DAG nodes visited, clause records
-        #: emitted, int32s handed to the SAT core, batches flushed.
-        self.counters = {"terms": 0, "clauses": 0, "lits": 0, "flushes": 0}
+        #: emitted, int32s handed to the SAT core, batches flushed,
+        #: template instances emitted.
+        self.counters = {"terms": 0, "clauses": 0, "lits": 0, "flushes": 0,
+                         "steps_instanced": 0}
 
     # ------------------------------------------------------------------
     def _flush(self) -> None:
@@ -225,6 +263,137 @@ class CnfConverter:
         self._buf.append(len(unit))
         self._buf.extend(unit)
         self.counters["clauses"] += 1
+        self._flush()
+
+    # ------------------------------------------------------------------
+    # Clause templates
+    # ------------------------------------------------------------------
+    def _hole_lits(self, params: Sequence[Term], outputs: Sequence[Term]) -> List[int]:
+        """The literals of one instance's holes, allocated on demand:
+        each boolean parameter, each enum parameter's bits, each output."""
+        lits: List[int] = []
+        for p in params:
+            if p.is_bool:
+                lits.append(self._lit(p))
+            else:
+                lits.extend(map(self._lit, self._bits_of(p)))
+        lits.extend(map(self._lit, outputs))
+        return lits
+
+    def record(self, asserted: Sequence[Term], defined: Sequence[Tuple[Term, Term]],
+               params: Sequence[Term]) -> ClauseTemplate:
+        """Encode one instance of a recurring constraint and keep it as
+        a template over ``params`` (boolean or enum variables).
+
+        ``asserted`` terms hold in every instance; each ``(var, term)``
+        of ``defined`` makes the fresh boolean variable ``var``
+        equivalent to the compound ``term`` (``var`` *is* the term's
+        Tseitin variable, defined in both polarities).  Only
+        definitions reach the solver here; the recorded instance itself
+        is asserted by ``instantiate(template)`` and further ones by
+        ``instantiate(template, params, outputs)``.  Must be the
+        converter's first encoding: a subterm encoded earlier would be
+        missing from the recording.  Variables are allocated in the
+        order the ordinary pass meets them (none up front for the
+        holes): the SAT core's first decisions follow that order, and
+        the proof engines' search is sensitive to it.
+        """
+        if self._lit_of:
+            raise ValueError("record() must be a converter's first encoding")
+        lit_of = self._lit_of
+        for term in asserted:
+            self._encode(term, POS)
+        for var, term in defined:
+            if var in lit_of or term.kind not in ("and", "or"):
+                raise ValueError(f"cannot define {var!r} as {term!r}")
+            self._encode(term, BOTH)
+            lit_of[var] = self._lit(term)
+        holes = self._hole_lits(params, [var for var, _ in defined])
+        roots = [self._lit(t) for t in asserted if t is not TRUE]
+        recorded = array("i", self._buf)
+        self._flush()
+
+        # Classify: a compound subterm's variable is local when the
+        # subterm mentions a parameter; everything else is rigid.
+        varying: Dict[Term, bool] = dict.fromkeys(params, True)
+        for p in params:
+            if not p.is_bool:
+                varying.update(dict.fromkeys(self._bits_of(p), True))
+
+        def varies(term: Term) -> bool:
+            known = varying.get(term)
+            if known is None:
+                known = varying[term] = any(map(varies, term.args))
+            return known
+
+        taken = set(holes)
+        local = [
+            lit for node, lit in lit_of.items()
+            if node.kind in ("and", "or", "eq") and lit not in taken
+            and varies(node)
+        ]
+        local.extend(
+            e for (x, y), e in self._iff_var.items() if varies(x) or varies(y)
+        )
+        taken.update(local)
+        if len(taken) != len(holes) + len(local):
+            raise ValueError("template parameters and outputs must be distinct")
+        rigid = [v for v in range(1, self.sat.nvars + 1) if v not in taken]
+        # Column of each variable in the value table: rigid, holes, locals.
+        index = {v: i for i, v in enumerate(rigid + holes + local)}
+
+        records: List[Tuple[int, ...]] = []
+        i, n = 0, len(recorded)
+        while i < n:
+            end = i + 1 + recorded[i]
+            clause = tuple(recorded[i + 1:end])
+            if any(abs(lit) in taken for lit in clause):  # else rigid: in already
+                records.append(clause)
+            i = end
+        records.extend((lit,) for lit in roots)
+        lengths = max(map(len, records), default=0) + 1
+        size = len(index)
+        slots = array("i")
+        for clause in records:
+            slots.append(len(clause))
+            slots.extend(
+                lengths + index[lit] if lit > 0 else lengths + size + index[-lit]
+                for lit in clause
+            )
+        base = list(range(lengths)) + [0] * (2 * size)
+        for v in rigid:
+            base[lengths + index[v]] = v
+            base[lengths + size + index[v]] = -v
+        return ClauseTemplate(slots, base, roots, len(records), lengths,
+                              len(rigid), len(holes), len(local))
+
+    def instantiate(self, template: ClauseTemplate,
+                    params: Sequence[Term] = (), outputs: Sequence[Term] = ()) -> None:
+        """Assert one instance of ``template``: the recorded one when no
+        ``params`` are given (its definitions are in the solver already,
+        so only the root units are), otherwise a copy over ``params`` /
+        ``outputs`` — same order and sorts as at :meth:`record`."""
+        buf = self._buf
+        if not params and not outputs:
+            for lit in template.roots:
+                buf.extend((1, lit))
+            self.counters["clauses"] += len(template.roots)
+        else:
+            holes = self._hole_lits(params, outputs)
+            if len(holes) != template.holes:
+                raise ValueError("instance does not match the template's holes")
+            values = template.base[:]
+            size = (len(values) - template.lengths) // 2
+            lo = template.lengths + template.rigid
+            hi = lo + template.holes
+            values[lo:hi] = holes
+            values[lo + size:hi + size] = [-lit for lit in holes]
+            first = self._new_vars(template.local)
+            values[hi:hi + template.local] = range(first, first + template.local)
+            values[hi + size:] = range(-first, -first - template.local, -1)
+            buf.extend(map(values.__getitem__, template.slots))
+            self.counters["clauses"] += template.clauses
+        self.counters["steps_instanced"] += 1
         self._flush()
 
     def var_literal(self, term: Term) -> int:

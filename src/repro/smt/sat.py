@@ -157,6 +157,15 @@ class SatSolver:
         heappush(self._order, (-0.0, self.nvars))
         return self.nvars
 
+    def new_vars(self, n: int) -> int:
+        """Allocate ``n`` consecutive fresh variables; returns the first
+        (``first .. first + n - 1``).  Equivalent to ``n`` calls of
+        :meth:`new_var`; the C core does it in one FFI call."""
+        first = self.nvars + 1
+        for _ in range(n):
+            self.new_var()
+        return first
+
     def _lit(self, signed: int) -> int:
         v = abs(signed)
         if v == 0 or v > self.nvars:
@@ -1038,10 +1047,10 @@ class SatSolver:
         ]
 
     def value(self, var: int) -> Optional[bool]:
-        """Model value of ``var`` after a ``sat`` answer."""
-        if not self.model:
-            return None
-        return self.model[abs(var)]
+        """Model value of ``var`` after a ``sat`` answer (``None`` for a
+        variable allocated since: that answer does not constrain it)."""
+        var = abs(var)
+        return self.model[var] if var < len(self.model) else None
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

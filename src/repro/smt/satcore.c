@@ -264,6 +264,14 @@ int32_t sat_new_var(Sat *s) {
     return v;
 }
 
+/* Allocate `n` consecutive variables; returns the first (n >= 1). */
+int32_t sat_new_vars(Sat *s, int32_t n) {
+    int32_t first = s->nvars + 1;
+    while (n-- > 0)
+        sat_new_var(s);
+    return first;
+}
+
 void sat_mark_selector(Sat *s, int32_t var) {
     if (var >= 1 && var <= s->nvars)
         s->selector[var] = 1;

@@ -123,6 +123,22 @@ class Solver:
         for cond in self._lowering.drain_side_conditions():
             self._cnf.assert_term(cond, permanent=True)
 
+    def record_template(self, asserted, defined, params):
+        """Encode one instance of a recurring constraint as a
+        :class:`repro.smt.cnf.ClauseTemplate` (see
+        :meth:`CnfConverter.record`; must precede every other use of
+        this solver).  Nothing is asserted yet."""
+        template = self._cnf.record(asserted, defined, params)
+        self._assert_side_conditions()
+        return template
+
+    def assert_template(self, template, params=(), outputs=()) -> None:
+        """Assert one instance of ``template``, permanently: the
+        recorded one by default, else its copy over ``params`` /
+        ``outputs`` (see :meth:`CnfConverter.instantiate`)."""
+        self._cnf.instantiate(template, params, outputs)
+        self._assert_side_conditions()
+
     # ------------------------------------------------------------------
     # Assertion scopes
     # ------------------------------------------------------------------
@@ -269,10 +285,16 @@ class Solver:
         """
         return self.sat.stats()
 
+    def bits_of(self, enum_term: Term):
+        """The boolean bit terms (LSB first) holding ``enum_term``'s
+        code in this solver's encoding; value order is code order."""
+        return self._lowering.bits_of(enum_term)
+
     def encoder_counters(self) -> dict:
         """Cumulative encoder work of this solver: ``terms`` (DAG nodes
         visited), ``clauses`` emitted, ``lits`` (int32s handed to the
-        SAT core) and ``flushes`` (batches).  Diff two snapshots."""
+        SAT core), ``flushes`` (batches) and ``steps_instanced``
+        (template instances asserted).  Diff two snapshots."""
         return dict(self._cnf.counters)
 
     def report_encoding(self, span, since: Optional[dict] = None) -> None:

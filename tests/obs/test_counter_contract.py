@@ -8,10 +8,15 @@ This pins the invariant that retired the PR-6 bug class of three
 modules each holding a drifting private ``_COUNTER_KEYS`` copy.
 """
 
-from repro.netmodel import bmc
+from repro import obs
+from repro.core.invariants import NodeIsolation
+from repro.mboxes import LearningFirewall
+from repro.netmodel import HeaderMatch, TransferRule, VerificationNetwork
+from repro.netmodel import bmc, unrolling
 from repro.obs import SOLVER_COUNTER_KEYS, SOLVER_GAUGE_KEYS
 from repro.obs.metrics import MetricsRegistry, solver_counter_snapshot
 from repro.proof import portfolio, transition
+from repro.smt import Solver
 from repro.smt.sat import SatSolver
 
 
@@ -22,8 +27,11 @@ class TestSingleDefinition:
     def test_portfolio_keys_off_the_same_tuple(self):
         assert portfolio._COUNTER_KEYS is SOLVER_COUNTER_KEYS
 
-    def test_transition_projects_through_the_canonical_snapshot(self):
-        assert transition.solver_counter_snapshot is solver_counter_snapshot
+    def test_both_drivers_project_through_the_canonical_snapshot(self):
+        """One ``counters()`` on the shared base, not a copy per driver."""
+        assert unrolling.solver_counter_snapshot is solver_counter_snapshot
+        assert bmc.IncrementalBMC.counters is unrolling.Unrolling.counters
+        assert transition.TransitionSystem.counters is unrolling.Unrolling.counters
 
     def test_stats_keys_are_exactly_counters_plus_gauges(self):
         stats = SatSolver().stats()
@@ -49,3 +57,73 @@ class TestSnapshotProjection:
         assert r.counter("repro_solver_restarts_total").value() == 2
         # Zero deltas declare nothing — the snapshot stays sparse.
         assert r.get("repro_solver_decisions_total") is None
+
+
+# ----------------------------------------------------------------------
+# Encoder counters: one dict on the converter, four consumers
+# ----------------------------------------------------------------------
+ENCODER_KEYS = ("terms", "clauses", "lits", "flushes", "steps_instanced")
+
+
+def _firewalled():
+    rules = (
+        TransferRule.of(HeaderMatch.of(dst={"priv"}), to="fw", from_nodes={"ext"}),
+        TransferRule.of(HeaderMatch.of(dst={"priv"}), to="priv", from_nodes={"fw"}),
+    )
+    return VerificationNetwork(
+        hosts=("ext", "priv"),
+        middleboxes=(LearningFirewall("fw", allow=[]),),
+        rules=rules,
+    )
+
+
+_PARAMS = dict(n_packets=1, failure_budget=0, n_ports=3, n_tags=2)
+
+
+class TestEncoderCounters:
+    def test_the_solver_reports_exactly_the_contract_keys(self):
+        assert tuple(Solver().encoder_counters()) == ENCODER_KEYS
+
+    def test_driver_spans_carry_encoder_deltas_and_template_shape(self):
+        """``bmc:encode`` / ``bmc:extend`` and their proof twins tag the
+        encoder work they did, plus the template's size — and a step
+        asserted from the template walks (next to) no term."""
+        with obs.observe() as (tracer, registry):
+            driver = bmc.IncrementalBMC(_firewalled(), depth=5, **_PARAMS)
+            driver.check_at(NodeIsolation("priv", "ext"), 2)
+            driver.check_at(NodeIsolation("priv", "ext"), 5)
+            ts = transition.TransitionSystem(_firewalled(), depth=3, **_PARAMS)
+            ts.extend_to(3)
+        spans = {}
+        for record in tracer.records():
+            spans.setdefault((record["cat"], record["name"]), []).append(record["args"])
+        for key in (("bmc", "encode"), ("bmc", "extend"),
+                    ("proof", "transition-encode"), ("proof", "transition-extend")):
+            for args in spans[key]:
+                assert set(ENCODER_KEYS + ("template_ints", "rigid_vars")) <= set(args)
+                assert args["template_ints"] > 0 and args["rigid_vars"] > 0
+        encode, = spans[("bmc", "encode")]
+        assert encode["steps_instanced"] == 0 and encode["terms"] > 100
+        first, second = spans[("bmc", "extend")]
+        assert (first["from_depth"], first["to_depth"]) == (0, 2)
+        assert first["steps_instanced"] == 2 and second["steps_instanced"] == 3
+        # Ints handed to the SAT core per instantiated step are the
+        # template's, constant in t (step 0's definitions were recorded
+        # at construction, so it only costs its root units).
+        per_step = second["lits"] / 3
+        assert encode["template_ints"] <= per_step <= encode["template_ints"] + 40
+        assert second["terms"] <= 3 * 12  # event domain constraints only
+        snapshot = registry.snapshot()
+        assert snapshot["repro_encoder_steps_instanced_total"] == 2 + 3 + 3
+        for key in ENCODER_KEYS:
+            assert snapshot[f"repro_encoder_{key}_total"] > 0
+
+    def test_stats_prints_the_encoder_series(self, tmp_path):
+        with obs.observe() as (tracer, registry):
+            with tracer.span("audit", cat="cli"):
+                bmc.IncrementalBMC(_firewalled(), depth=3, **_PARAMS).extend_to(3)
+        out = str(tmp_path / "run.json")
+        obs.write_run_record(out, tracer, registry, meta={"command": "audit"})
+        text = obs.render_stats(obs.load_trace(out))
+        assert "steps instanced" in text
+        assert "repro_encoder_steps_instanced_total" in text
