@@ -184,6 +184,16 @@ def render_stats(payload: dict, top: int = 20, by: str = "name") -> str:
         lines.append("encoder work (terms visited, clauses, int32 lits, flushes, "
                      "template steps instanced):")
         lines.extend(f"{key:<32}  {int(series[key]):>10}" for key in encoder)
+    search = sorted(
+        k for k in series
+        if k.startswith(("repro_ic3_", "repro_kinduction_",
+                         "repro_proof_temp_clauses_"))
+    )
+    if search:
+        lines.append("")
+        lines.append("proof search (IC3 frames and clause pushes, k-induction "
+                     "deepenings, single-query clauses):")
+        lines.extend(f"{key:<40}  {int(series[key]):>10}" for key in search)
     hists = histogram_summaries(series)
     if hists:
         hwidth = max([len(h["name"]) for h in hists] + [9])

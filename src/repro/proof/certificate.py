@@ -37,7 +37,7 @@ queries) before it ever considers re-running a full proof search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..netmodel.bmc import IncrementalBMC, VerificationNetwork
 from ..smt import SAT, UNSAT, And, Not
@@ -271,7 +271,10 @@ def minimize_certificate(
     parameters (the portfolio hands in the one its provers ran on).
     Sound because everything engine-specific in that solver is guarded
     by activation/assumption literals the queries here never set, and
-    shrink queries only ever *assume* — they assert nothing.
+    everything asserted here is guarded by activation literals of its
+    own, retired before returning.  The pass talks to the solver in SAT
+    literals (:meth:`TransitionSystem.cube_lits`): each clause is
+    emitted once, each candidate set is a list of integers.
 
     The result is *not* self-certifying: callers re-validate the shrunk
     certificate with :func:`recheck_certificate` (cold solver) before
@@ -298,9 +301,23 @@ def minimize_certificate(
             n_tags=params["n_tags"],
         )
     ts.extend_to(1)
-    violation = ts.violation_prefix(invariant, 1)
+    solver = ts.solver
+    violation = solver.literal(ts.violation_prefix(invariant, 1))
 
     kept = list(cert.clauses)
+    # Each clause enters the solver once, behind two activation
+    # literals: guard ``a_i -> ¬cube_i`` over the state at time 0 and
+    # indicator ``b_i -> cube_i`` over the state at time 1.  A candidate
+    # set is then a list of integers — nothing is encoded per query.
+    guards: List[int] = []
+    indicators: List[int] = []
+    for cube in kept:
+        guard, indicator = solver.new_literal(), solver.new_literal()
+        solver.add_clause([-guard] + [-lit for lit in ts.cube_lits(cube, 0)])
+        for lit in ts.cube_lits(cube, 1):
+            solver.add_clause([-indicator, lit])
+        guards.append(guard)
+        indicators.append(indicator)
     # Largest cubes first; index tie-break keeps the pass deterministic.
     order = sorted(range(len(kept)), key=lambda i: (-len(kept[i]), i))
     dropped = set()
@@ -309,14 +326,17 @@ def minimize_certificate(
         """Whether the certificate minus clause ``skip`` still proves
         the property (None = a query budget ran out: inconclusive)."""
         active = [
-            c for i, c in enumerate(kept) if i != skip and i not in dropped
+            i for i in range(len(kept)) if i != skip and i not in dropped
         ]
-        now = [clause_term(ts, c, 0) for c in active]
-        nxt = [clause_term(ts, c, 1) for c in active]
-        if nxt:
+        now = [guards[i] for i in active]
+        if active:
+            # Some active cube holds after one step: ¬Inv' as one
+            # clause over the indicators, alive for this query only.
             report.solver_checks += 1
             status = ts.check(
-                now + [Not(And(*nxt))], max_conflicts=max_conflicts_per_query
+                now,
+                max_conflicts=max_conflicts_per_query,
+                clause=[indicators[i] for i in active],
             )
             if status != UNSAT:
                 return None if status != SAT else False
@@ -334,6 +354,11 @@ def minimize_certificate(
             break
         if survives_without(i):
             dropped.add(i)
+    # The transition system goes back to the pool: switch the
+    # certificate's clauses off for good, so the SAT core's next
+    # simplification collects them.
+    for lit in guards + indicators:
+        solver.add_clause([-lit])
 
     if dropped:
         clauses = tuple(c for i, c in enumerate(kept) if i not in dropped)

@@ -24,13 +24,19 @@ the free-initial-state transition system of
   :class:`repro.proof.certificate.ProofCertificate` for independent
   re-checking.
 
-Every query is a pure assumption call on the shared warm solver: frame
-clauses are asserted once, permanently, each guarded by its level's
-activation literal, and a query "against F_i" assumes the selectors of
-levels ``>= i`` plus the cube's negation and next-state image.  Nothing
-is ever re-asserted, and learned clauses — selector-tagged or not —
-persist for the whole run: the incremental-SAT usage pattern IC3 was
-designed around.
+Every query is an assumption call on the shared warm solver, in SAT
+literals end to end: cubes go through the transition system's compiled
+vocabulary (:meth:`TransitionSystem.cube_lits`), a frame clause is
+**one** SAT clause guarded by its level's activation literal, a query
+"against F_i" assumes the selectors of levels ``>= i`` plus the cube's
+next-state image, the cube's negation rides along as a clause that
+lives for that query only, and a model comes back as a cube straight
+from the model bytes.  The engine builds, interns and encodes no term
+after construction, so a search leaves behind exactly the clauses it
+stored — not one Tseitin definition per cube per query, which is what
+used to pile up in the pooled solver the next invariant inherits.
+Learned clauses — selector-tagged or not — persist for the whole run:
+the incremental-SAT usage pattern IC3 was designed around.
 
 A counterexample answer is *advisory* here: cubes pin the rigid packet
 fields but not the oracle choices, so a trace through the abstraction
@@ -42,17 +48,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..obs import get_registry
-from ..smt import SAT, UNSAT, BoolVar, Implies, Term
+from ..smt import SAT, UNSAT
 from .certificate import ProofCertificate
 from .kinduction import CEX, HOLDS, STALLED, EngineOutcome
-from .transition import Cube, TransitionSystem, clause_term, is_history_lit
+from .transition import Cube, TransitionSystem, is_history_lit
 
 __all__ = ["IC3Engine"]
-
-_engine_ids = itertools.count()
 
 
 class IC3Engine:
@@ -70,8 +74,9 @@ class IC3Engine:
         self.invariant = invariant
         ts.extend_to(1)
         # frames[i] = cubes whose blocking clause is established for
-        # F_1..F_i and stored here (frames[0] is the concrete Init).
-        self.frames: List[List[Cube]] = [[], []]
+        # F_1..F_i and stored here (frames[0] is the concrete Init);
+        # dicts as insertion-ordered sets.
+        self.frames: List[Dict[Cube, None]] = [{}, {}]
         self.N = 1
         # A simple path cannot revisit a state (atoms only accrete), so
         # the atom count bounds the frames any proof can need.
@@ -79,10 +84,13 @@ class IC3Engine:
             len(ts.atoms) + 2 if max_frames is None else max_frames
         )
         self.outcome: Optional[EngineOutcome] = None
-        self._noops = ts.noop_assumptions(1)
-        self._bad = ts.violation_prefix(invariant, 1)
         self._obligations: List[Tuple[int, int, Cube]] = []
         self._seq = itertools.count()
+        # Everything a query assumes, as SAT literals, encoded here once.
+        literal = ts.solver.literal
+        self._noops = [literal(noop) for noop in ts.noop_assumptions(1)]
+        self._bad = literal(ts.violation_prefix(invariant, 1))
+        self._init_units = [ts.lit_at((key, False), 0) for key in ts.atoms]
         # Frame clauses are asserted once, permanently, guarded by a
         # per-level activation literal (selector → clause); a query
         # "against F_i" just assumes the selectors of levels >= i.
@@ -90,9 +98,7 @@ class IC3Engine:
         # clause is ever re-asserted, and learned clauses that resolve
         # through a frame clause carry its selector and keep working
         # for every later query that assumes it.
-        self._ns = f"{ts.model.ns}:ic3:{next(_engine_ids)}"
-        self._selectors: List[Term] = [BoolVar(f"{self._ns}:F0")]  # F0 unused
-        self._init_units = ts.init_units()
+        self._selectors: List[int] = [0]  # F0 unused
 
     # ------------------------------------------------------------------
     # Query plumbing
@@ -104,53 +110,69 @@ class IC3Engine:
             for cube in self.frames[j]
         ]
 
-    def _selector(self, level: int) -> Term:
+    def _selector(self, level: int) -> int:
         while len(self._selectors) <= level:
-            self._selectors.append(
-                BoolVar(f"{self._ns}:F{len(self._selectors)}")
-            )
+            self._selectors.append(self.ts.solver.new_literal())
         return self._selectors[level]
 
     def _store_clause(self, level: int, cube: Cube) -> None:
         """Record ``¬cube`` at ``level``: bookkeeping for certificates
-        and propagation, plus the selector-guarded solver assertion.
+        and propagation, plus the selector-guarded solver clause.
         (A clause promoted upward is simply re-guarded by the higher
         selector; the stale lower-level copy is subsumed, never wrong.)
         """
-        if cube not in self.frames[level]:
-            self.frames[level].append(cube)
-        self.ts.solver.add(
-            Implies(self._selector(level), clause_term(self.ts, cube, 0))
-        )
+        if cube in self.frames[level]:
+            return
+        self.frames[level][cube] = None
+        clause = [-self._selector(level)]
+        clause.extend(-lit for lit in self.ts.cube_lits(cube, 0))
+        self.ts.solver.add_clause(clause)
 
     def _query(
         self,
         level: int,
-        extra: Sequence[Term],
-        assumptions: Sequence[Term],
+        assumptions: List[int],
         max_conflicts: Optional[int],
+        clause: Optional[List[int]] = None,
     ):
-        """SAT query against frame ``level`` (0 = the concrete Init).
+        """SAT query against frame ``level`` (0 = the concrete Init),
+        with ``clause`` holding for this query only.
 
         Returns ``(result, payload)``: the full-state cube of the model
-        on ``sat``, the failed-assumption core on ``unsat``.
+        on ``sat``, the failed assumption literals on ``unsat``.
         """
         ts = self.ts
         if level == 0:
-            context = list(self._init_units)
+            context = self._init_units
         else:
             context = [
                 self._selector(j) for j in range(level, len(self.frames))
             ]
         result = ts.check(
-            context + list(extra) + list(assumptions) + self._noops,
+            context + assumptions + self._noops,
             max_conflicts=max_conflicts,
+            clause=clause,
         )
         if result == SAT:
             return result, ts.state_cube(ts.solver.model())
         if result == UNSAT:
-            return result, list(ts.solver.unsat_core())
+            return result, ts.solver.unsat_core()
         return result, None
+
+    def _consecution(self, level: int, cube: Cube,
+                     max_conflicts: Optional[int]):
+        """Is ``cube`` unreachable in one step from ``F_level ∧ ¬cube``?
+        ``(result, payload, primed)``: :meth:`_query`'s answer plus the
+        cube's next-state literals, position by position."""
+        ts = self.ts
+        primed = ts.cube_lits(cube, 1)
+        result, payload = self._query(
+            level,
+            primed,
+            max_conflicts,
+            clause=[-lit for lit in ts.cube_lits(cube, 0)],
+        )
+        return result, payload, primed
 
     # ------------------------------------------------------------------
     # Blocking
@@ -161,16 +183,13 @@ class IC3Engine:
         initial state (rigid pins never do — Init allows any fields)."""
         return not any(is_history_lit(lit) for lit in cube)
 
-    def _generalize(self, cube: Cube, core_terms: List[Term],
-                    term_of: Dict[Term, object]) -> Cube:
-        """Keep only the literals the UNSAT proof used, re-anchored so
-        the clause still excludes the initial state."""
-        in_core = set()
-        for term in core_terms:
-            lit = term_of.get(term)
-            if lit is not None:
-                in_core.add(lit)
-        kept = tuple(lit for lit in cube if lit in in_core)
+    def _generalize(self, cube: Cube, core: List[int],
+                    primed: List[int]) -> Cube:
+        """Keep only the literals the UNSAT proof used (``primed[i]``
+        is what the query assumed for ``cube[i]``), re-anchored so the
+        clause still excludes the initial state."""
+        used = set(core)
+        kept = tuple(lit for lit, code in zip(cube, primed) if code in used)
         if self._touches_init(kept):
             anchor = next(lit for lit in cube if is_history_lit(lit))
             kept = kept + (anchor,)
@@ -182,18 +201,12 @@ class IC3Engine:
         """Re-run the consecution query for a candidate cube; on
         success return it, core-trimmed further.  ``None`` = not
         blockable (or budget ran out)."""
-        ts = self.ts
-        primed = [(lit, ts.lit_term(lit, 1)) for lit in cube]
-        term_of = {term: lit for lit, term in primed}
-        result, payload = self._query(
-            level - 1,
-            extra=[clause_term(ts, cube, 0)],
-            assumptions=[term for _, term in primed],
-            max_conflicts=max_conflicts,
+        result, payload, primed = self._consecution(
+            level - 1, cube, max_conflicts
         )
         if result != UNSAT:
             return None
-        return self._generalize(cube, payload, term_of)
+        return self._generalize(cube, payload, primed)
 
     def _shrink(
         self, level: int, cube: Cube, max_conflicts: Optional[int]
@@ -236,18 +249,12 @@ class IC3Engine:
                 reason=f"abstract counterexample within {self.N} steps",
             )
             return True
-        ts = self.ts
-        primed = [(lit, ts.lit_term(lit, 1)) for lit in cube]
-        term_of = {term: lit for lit, term in primed}
-        result, payload = self._query(
-            level - 1,
-            extra=[clause_term(ts, cube, 0)],
-            assumptions=[term for _, term in primed],
-            max_conflicts=max_conflicts,
+        result, payload, primed = self._consecution(
+            level - 1, cube, max_conflicts
         )
         if result == UNSAT:
             heapq.heappop(self._obligations)
-            blocked = self._generalize(cube, payload, term_of)
+            blocked = self._generalize(cube, payload, primed)
             blocked = self._shrink(level, blocked, max_conflicts)
             self._store_clause(level, blocked)
             if level < self.N:
@@ -269,13 +276,10 @@ class IC3Engine:
         for i in range(1, self.N):
             for cube in list(self.frames[i]):
                 result, _ = self._query(
-                    i,
-                    extra=[],
-                    assumptions=[ts.lit_term(lit, 1) for lit in cube],
-                    max_conflicts=max_conflicts,
+                    i, ts.cube_lits(cube, 1), max_conflicts
                 )
                 if result == UNSAT:
-                    self.frames[i].remove(cube)
+                    del self.frames[i][cube]
                     self._store_clause(i + 1, cube)
                     get_registry().counter(
                         "repro_ic3_clause_pushes_total",
@@ -297,6 +301,14 @@ class IC3Engine:
                 )
                 return True
         return True
+
+    def retire(self) -> None:
+        """Switch every frame clause off for good (the engine is done):
+        the shared solver's next simplification collects them, so the
+        next invariant on this transition system starts clean."""
+        for selector in self._selectors[1:]:
+            self.ts.solver.add_clause([-selector])
+        del self._selectors[1:]
 
     # ------------------------------------------------------------------
     def step(
@@ -334,10 +346,7 @@ class IC3Engine:
                 if not self._process_obligation(remaining()):
                     break
                 continue
-            result, payload = self._query(
-                self.N, extra=[], assumptions=[self._bad],
-                max_conflicts=remaining(),
-            )
+            result, payload = self._query(self.N, [self._bad], remaining())
             if result == SAT:
                 self._enqueue(self.N, payload)
             elif result == UNSAT:
@@ -345,7 +354,7 @@ class IC3Engine:
                     break
                 if self.outcome is None:
                     self.N += 1
-                    self.frames.append([])
+                    self.frames.append({})
                     registry = get_registry()
                     registry.counter(
                         "repro_ic3_frame_extensions_total",

@@ -32,10 +32,10 @@ established.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..obs import get_registry
-from ..smt import Not, Term, UNSAT, SAT
+from ..smt import UNSAT, SAT
 from .certificate import ProofCertificate
 from .transition import TransitionSystem
 
@@ -82,21 +82,31 @@ class KInductionEngine:
         self.k = 0
         self.pending_k: Optional[int] = None  # step passed, base not caught up
         self.outcome: Optional[EngineOutcome] = None
-        self._distinct: Dict[tuple, Term] = {}
+        # SAT literals, encoded once: the simple-path constraint per
+        # pair of steps, and the whole assumption list per depth (a
+        # budgeted step query is retried warm with the same list).
+        self._distinct: Dict[tuple, int] = {}
+        self._assumed: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
-    def _assumptions(self, k: int):
+    def _assumptions(self, k: int) -> List[int]:
+        out = self._assumed.get(k)
+        if out is not None:
+            return out
         ts = self.ts
-        out = [ts.violation_prefix(self.invariant, k + 1)]
+        literal = ts.solver.literal
+        out = self._assumed[k] = [
+            literal(ts.violation_prefix(self.invariant, k + 1))
+        ]
         if k > 0:
-            out.append(Not(ts.violation_prefix(self.invariant, k)))
+            out.append(-literal(ts.violation_prefix(self.invariant, k)))
         for t1 in range(k + 1):
             for t2 in range(t1 + 1, k + 1):
                 key = (t1, t2)
                 if key not in self._distinct:
-                    self._distinct[key] = ts.distinct_states(t1, t2)
+                    self._distinct[key] = literal(ts.distinct_states(t1, t2))
                 out.append(self._distinct[key])
-        out.extend(ts.noop_assumptions(k + 1))
+        out.extend(map(literal, ts.noop_assumptions(k + 1)))
         return out
 
     def _conclude(self, k: int) -> EngineOutcome:

@@ -333,6 +333,24 @@ def _prove_portfolio(
     def spent_checks() -> int:
         return driver.checks + ts.checks - checks_before
 
+    tagged = [checks_before, ts.temp_clauses]  # queries / clauses reported
+
+    def tag_queries(span) -> None:
+        """What the solvers were asked since the last tagged span (every
+        query is inside one), and how: queries issued, how many carried
+        a single-query clause, the compiled state vocabulary's size."""
+        queries, temp_clauses = driver.checks + ts.checks, ts.temp_clauses
+        issued = temp_clauses - tagged[1]
+        span.tag(queries=queries - tagged[0], temp_clauses=issued,
+                 vocab_lits=ts.vocab_lits)
+        tagged[:] = queries, temp_clauses
+        if issued:
+            registry.counter(
+                "repro_proof_temp_clauses_total",
+                "single-query clauses (activation literal, retired after "
+                "the query) issued by the proof engines",
+            ).inc(issued)
+
     def turn_queries() -> int:
         # Per-turn query allowance, clamped so an engine's turn cannot
         # blow far past the shared cap (the cap is still only tested
@@ -351,6 +369,7 @@ def _prove_portfolio(
         with tracer.span("engine-round", cat="proof", engine="bmc") as rspan:
             bmc_outcome = bmc_engine.step(chunk())
             rspan.tag(clean=bmc_engine.clean)
+            tag_queries(rspan)
         registry.counter(
             "repro_proof_rounds_total", "portfolio round-robin turns per engine"
         ).inc(engine="bmc")
@@ -367,6 +386,7 @@ def _prove_portfolio(
                     outcome = prover.step(chunk())
                 if outcome is not None:
                     rspan.tag(outcome=outcome.status)
+                tag_queries(rspan)
             registry.counter(
                 "repro_proof_rounds_total",
                 "portfolio round-robin turns per engine",
@@ -411,6 +431,7 @@ def _prove_portfolio(
                                     dropped=len(winner_cert.clauses)
                                     - len(shrink.certificate.clauses),
                                 )
+                                tag_queries(mspan)
                             minimize_report = shrink
                             if shrink.certificate is not winner_cert:
                                 with tracer.span(
@@ -472,6 +493,11 @@ def _prove_portfolio(
         if not provers and bmc_engine.outcome is not None:
             break  # everyone is done or stalled
 
+    # The transition system goes back to the pool: switch this search's
+    # frame clauses off and collect everything it retired, so the next
+    # invariant starts from the encoding, not from this one's leftovers.
+    ic3_engine.retire()
+    ts.solver.simplify()
     elapsed = time.perf_counter() - started
     counters_after = {
         k: driver.counters()[k] + ts.counters()[k] for k in _COUNTER_KEYS

@@ -28,15 +28,25 @@ The solver discipline is :class:`repro.netmodel.bmc.IncrementalBMC`'s:
 one warm solver per transition system, base + consistency axioms
 asserted once, steps instantiated from the template on demand
 (:meth:`extend_to`), everything else — properties, cubes, frames,
-simple-path constraints — assumed or pushed in scopes, so k-induction
-and IC3 can interleave queries on one shared instance (and
-:class:`repro.netmodel.bmc.SolverPool` can keep it warm across
+simple-path constraints — assumed or guarded by activation literals,
+so k-induction and IC3 can interleave queries on one shared instance
+(and :class:`repro.netmodel.bmc.SolverPool` can keep it warm across
 invariants and network versions).
+
+The state vocabulary exists twice, on purpose.  The engines ask
+thousands of queries about cubes over the same few hundred literals, so
+the transition system compiles them to SAT literals once
+(:meth:`TransitionSystem.cube_lits`) and reads states back from the
+model's bytes (:meth:`TransitionSystem.state_cube`): no term is built
+or visited per query.  :meth:`TransitionSystem.lit_term`,
+:func:`cube_term` and :func:`clause_term` say the same in terms; only
+the cold certificate re-check and the blame layer use them, which makes
+the re-check an independent reference for what the integer path proves.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..netmodel.packets import same_flow
 from ..netmodel.system import OMEGA
@@ -75,6 +85,42 @@ def is_history_lit(lit: Lit) -> bool:
     return key[0] in HISTORY_KINDS and value is True
 
 
+class _StepVocabulary(dict):
+    """Cube literal -> SAT literal over the state at one time step.
+
+    Filled on first use: an atom's variable at this step (both
+    polarities at once), a derived predicate's literal (compiled when
+    the transition system was built) or a field pin's ``var = value``
+    equality — rigid ones get the same integer at every step.  A key
+    the network lacks raises ``KeyError`` and a value outside the
+    field's domain ``ValueError``, as :meth:`TransitionSystem.lit_term`.
+    """
+
+    __slots__ = ("_ts", "_t")
+
+    def __init__(self, ts: "TransitionSystem", t: int):
+        super().__init__()
+        self._ts = ts
+        self._t = t
+
+    def __missing__(self, lit: Lit) -> int:
+        key, value = lit
+        ts = self._ts
+        if key[0] == "field":
+            var = ts._field_vars[key]
+            code = self[lit] = ts.solver.literal(
+                Eq(var, EnumConst(var.sort, value))
+            )
+            return code
+        if key[0] in ("rel", "req"):
+            code = ts._derived_lits[key]
+        else:
+            code = ts.solver.literal(ts.atom_at(key, self._t))
+        self[(key, True)] = code
+        self[(key, False)] = -code
+        return code if value else -code
+
+
 class TransitionSystem(Unrolling):
     """One warm free-initial-state unrolling of a network encoding."""
 
@@ -105,6 +151,15 @@ class TransitionSystem(Unrolling):
                 if q.index < p.index:
                     self._derived[("rel", q.index, p.index)] = same_flow(q, p)
         self.derived: List[tuple] = list(self._derived)
+        # Compiled here, before any query: a model only gives a derived
+        # predicate's variable its meaning once the definitions are in.
+        self._derived_lits: Dict[tuple, int] = {
+            key: self.solver.literal(term) for key, term in self._derived.items()
+        }
+        self._vocabulary: Dict[int, _StepVocabulary] = {}
+        self._state_reader: Optional[tuple] = None
+        #: Single-query clauses issued through :meth:`check`.
+        self.temp_clauses = 0
 
     def _start_axioms(self) -> List[Term]:
         """Time 0 is an arbitrary *consistent* state, not the empty one."""
@@ -153,22 +208,78 @@ class TransitionSystem(Unrolling):
         """The concrete initial state: every history atom false."""
         return [Not(self.atom_var(key)) for key in self.atoms]
 
+    # ------------------------------------------------------------------
+    # The same vocabulary in SAT literals (what the engines use)
+    # ------------------------------------------------------------------
+    def _step_vocabulary(self, t: int) -> _StepVocabulary:
+        table = self._vocabulary.get(t)
+        if table is None:
+            table = self._vocabulary[t] = _StepVocabulary(self, t)
+        return table
+
+    def lit_at(self, lit: Lit, t: int) -> int:
+        """One cube literal as a SAT literal over the state at time
+        ``t`` — ``solver.literal(lit_term(lit, t))``, encoded once."""
+        return self._step_vocabulary(t)[lit]
+
+    def cube_lits(self, cube: Cube, t: int) -> List[int]:
+        """The cube's literals over the state at time ``t``, in order:
+        assume them for the cube, negate them for its blocking clause."""
+        return list(map(self._step_vocabulary(t).__getitem__, cube))
+
+    @property
+    def vocab_lits(self) -> int:
+        """Cube literals compiled to SAT literals so far."""
+        return sum(map(len, self._vocabulary.values()))
+
+    def _build_state_reader(self) -> tuple:
+        """``(variables, top, slots)``: the SAT variables whose model
+        bytes, gathered in order, spell the state, the largest of them,
+        and per cube entry ``(start, end, {byte pattern: Lit})``."""
+        literal = self.solver.literal
+        variables: List[int] = []
+        slots: List[tuple] = []
+
+        def slot(key: tuple, lits: List[int], values: Sequence) -> None:
+            table = {
+                bytes(
+                    ((code >> i) & 1) == (bit > 0) for i, bit in enumerate(lits)
+                ): (key, values[code])
+                for code in range(1 << len(lits))
+            }
+            slots.append((len(variables), len(variables) + len(lits), table))
+            variables.extend(map(abs, lits))
+
+        for key in self.atoms:
+            slot(key, [literal(self.atom_var(key))], (False, True))
+        for key, code in self._derived_lits.items():
+            slot(key, [code], (False, True))
+        for key, var in self._field_vars.items():
+            sort = var.sort
+            slot(
+                key,
+                [literal(bit) for bit in self.solver.bits_of(var)],
+                # Unconstrained bits may spell a code outside the domain.
+                [sort.value_of(c if c < sort.size else 0)
+                 for c in range(1 << sort.nbits)],
+            )
+        return variables, max(variables), slots
+
     def state_cube(self, model) -> Cube:
         """The full-state cube of a satisfying assignment: every atom's
-        time-0 value plus every rigid field's value.  Proof obligations
-        must describe exact states (shrinking happens only on the
-        *blocked* side, certified by its own query), so nothing is
-        dropped here."""
-        lits: List[Lit] = [
-            (key, bool(model[self.atom_var(key)])) for key in self.atoms
-        ]
-        lits.extend(
-            (key, bool(model[term])) for key, term in self._derived.items()
-        )
-        lits.extend(
-            (key, model[var]) for key, var in self._field_vars.items()
-        )
-        return tuple(lits)
+        time-0 value, every derived predicate and every rigid field's
+        value, gathered from the model's bytes in one pass.  Proof
+        obligations must describe exact states (shrinking happens only
+        on the *blocked* side, certified by its own query), so nothing
+        is dropped here."""
+        if self._state_reader is None:
+            self._state_reader = self._build_state_reader()
+        variables, top, slots = self._state_reader
+        values = model.values
+        if len(values) <= top:  # a free variable newer than the model
+            values = values.ljust(top + 1, b"\0")
+        raw = bytes(map(values.__getitem__, variables))
+        return tuple(table[raw[start:end]] for start, end, table in slots)
 
     # ------------------------------------------------------------------
     # Solver discipline (mirrors IncrementalBMC)
@@ -188,11 +299,19 @@ class TransitionSystem(Unrolling):
         return invariant.violation_term(self.model.ctx.at_depth(k))
 
     def check(
-        self, assumptions: Sequence[Term], max_conflicts: Optional[int] = None
+        self,
+        assumptions: Sequence[Union[Term, int]],
+        max_conflicts: Optional[int] = None,
+        clause: Optional[Sequence[int]] = None,
     ) -> str:
+        """One query on the warm solver: assumption terms or literals,
+        plus an optional clause of literals that holds for this query
+        only (see :meth:`repro.smt.Solver.check`)."""
         self.checks += 1
+        if clause is not None:
+            self.temp_clauses += 1
         return self.solver.check(
-            assumptions=assumptions, max_conflicts=max_conflicts
+            assumptions=assumptions, max_conflicts=max_conflicts, clause=clause
         )
 
     # ------------------------------------------------------------------

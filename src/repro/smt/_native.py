@@ -17,7 +17,9 @@ validation, core filtering) in Python where they are cheap, and
 delegating the search hot path to C.  The two bulk crossings are one
 FFI call each: ``add_clauses`` passes the CNF converter's flat
 ``[len, lit, ...]`` int32 buffer by address (C validates the literals)
-and a ``sat`` answer copies the whole model out at once.
+a ``sat`` answer copies the whole model out at once, as one
+``bytes`` object indexed by variable, and ``solve`` hands its assumptions
+over as an ``array('i')`` by address (C checks their range).
 """
 
 from __future__ import annotations
@@ -135,10 +137,12 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.sat_add_clauses.argtypes = [h, ctypes.c_void_p, i32]
     lib.sat_gc_lit.restype = None
     lib.sat_gc_lit.argtypes = [h, i32]
+    lib.sat_simplify.restype = None
+    lib.sat_simplify.argtypes = [h, ctypes.c_int]
     lib.sat_solve.restype = ctypes.c_int
-    lib.sat_solve.argtypes = [h, p32, i32, ctypes.c_int64]
-    lib.sat_model_get.restype = None
-    lib.sat_model_get.argtypes = [h, ctypes.c_char_p]
+    lib.sat_solve.argtypes = [h, ctypes.c_void_p, i32, ctypes.c_int64]
+    lib.sat_model.restype = ctypes.c_void_p
+    lib.sat_model.argtypes = [h]
     lib.sat_core_len.restype = i32
     lib.sat_core_len.argtypes = [h]
     lib.sat_core_get.restype = None
@@ -163,7 +167,9 @@ class NativeSatSolver:
         self.nvars = 0
         self._scopes: List[int] = []
         self._selector_vars: set = set()
-        self.model: List[Optional[bool]] = []
+        #: The last ``sat`` answer, one 0/1 byte per variable (index 0
+        #: unused) — read it through :meth:`value` or index it in bulk.
+        self.model: bytes = b""
         self.core: List[int] = []
         self._ok = True
         # Optional telemetry sink (repro.obs.SolverEventSink).  The C
@@ -253,15 +259,22 @@ class NativeSatSolver:
         self.core = []
         if not self._ok:
             return UNSAT
-        assume = list(self._scopes) + [int(a) for a in assumptions]
-        self._check_lits(assume)
-        arr = (ctypes.c_int32 * max(len(assume), 1))(*assume)
+        try:
+            assume = array("i", self._scopes)
+            assume.extend(assumptions)
+        except OverflowError:
+            raise ValueError("unknown variable in assumptions") from None
+        address, n = assume.buffer_info()
         budget = -1 if max_conflicts is None else int(max_conflicts)
         events = self.events
         if events is not None:
             stat, h = self._lib.sat_stat, self._h
             before = (int(stat(h, 6)), int(stat(h, 8)), int(stat(h, 9)))
-        result = self._lib.sat_solve(self._h, arr, len(assume), budget)
+        result = self._lib.sat_solve(self._h, address, n, budget)
+        if result < 0:  # -(offset + 1) of the offending assumption
+            raise ValueError(
+                f"unknown variable in literal {assume[-result - 1]}"
+            )
         if events is not None:
             after = (int(stat(h, 6)), int(stat(h, 8)), int(stat(h, 9)))
             events.ticks(
@@ -270,9 +283,9 @@ class NativeSatSolver:
                 strengthened=after[2] - before[2],
             )
         if result == 1:
-            raw = ctypes.create_string_buffer(self.nvars + 1)
-            self._lib.sat_model_get(self._h, raw)
-            self.model = [None, *map(bool, raw.raw[1:])]
+            self.model = ctypes.string_at(
+                self._lib.sat_model(self._h), self.nvars + 1
+            )
             return SAT
         if result == 2:
             return UNKNOWN
@@ -287,9 +300,14 @@ class NativeSatSolver:
     def solve_with(self, assumptions: Sequence[int] = (), **kw) -> str:
         return self.solve(assumptions, **kw)
 
+    def simplify(self) -> None:
+        """Run the level-0 simplification now (contract:
+        :meth:`repro.smt.sat.SatSolver.simplify`)."""
+        self._lib.sat_simplify(self._h, 1)
+
     def value(self, var: int) -> Optional[bool]:
         var = abs(var)
-        return self.model[var] if var < len(self.model) else None
+        return bool(self.model[var]) if var < len(self.model) else None
 
     # -- statistics ----------------------------------------------------
     @property

@@ -20,9 +20,10 @@ terms.
 Clauses leave as ``[len, lit, ...]`` records in one flat ``array('i')``
 handed to :meth:`SatSolver.add_clauses` in a single call.  **Buffer
 invariant: the buffer is empty whenever a public converter call
-(:meth:`assert_term`, :meth:`literal`) returns**, so ``push``/``pop``/
-``solve``/``stats`` need no flush hook.  A scoped assertion's selector
-is written into its record when the record is buffered.
+(:meth:`assert_term`, :meth:`literal`, :meth:`add_clause`) returns**,
+so ``push``/``pop``/``solve``/``stats`` need no flush hook.  A scoped
+assertion's selector is written into its record when the record is
+buffered.
 
 A clause set that recurs with only its variables changed — the
 network model's transition relation, once per timestep — is encoded
@@ -256,12 +257,17 @@ class CnfConverter:
         if term is TRUE:
             return
         self._encode(term, POS)
-        unit = [self._lit(term)]
+        self.add_clause([self._lit(term)], permanent)
+
+    def add_clause(self, lits: Sequence[int], permanent: bool = False) -> None:
+        """Add one clause of already-encoded literals — no term is
+        visited.  Scoped like :meth:`assert_term`."""
+        record = array("i", lits)  # a non-int32 raises before buffering
         scopes = self.sat._scopes  # shared by every core, stand-ins included
         if scopes and not permanent:
-            unit.append(-scopes[-1])
-        self._buf.append(len(unit))
-        self._buf.extend(unit)
+            record.append(-scopes[-1])
+        self._buf.append(len(record))
+        self._buf.extend(record)
         self.counters["clauses"] += 1
         self._flush()
 

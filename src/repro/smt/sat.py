@@ -117,7 +117,9 @@ class SatSolver:
         self._cla_decay = 0.999
         self._order: List[tuple] = []  # lazy max-heap of (-activity, var)
         self._ok = True
-        self.model: List[Optional[bool]] = []
+        #: The last ``sat`` answer, one 0/1 byte per variable (index 0
+        #: unused) — the C core's model buffer, same type and layout.
+        self.model: bytes = b""
         self.core: List[int] = []  # failed-assumption literals (signed)
         self.conflicts = 0
         self.decisions = 0
@@ -917,26 +919,9 @@ class SatSolver:
         ``"unknown"`` if ``max_conflicts`` was exhausted.
         """
         self.core = []
+        self.simplify(now=False)
         if not self._ok:
             return UNSAT
-        self._backtrack(0)
-        conflict = self.propagate()
-        if conflict is not None:
-            self._ok = False
-            return UNSAT
-        if len(self._clause_refs) >= self._simplify_at:
-            sub0, str0 = self.subsumed_total, self.strengthened_total
-            self._simplify()
-            if self.events is not None:
-                self.events.inprocessing(
-                    self.subsumed_total - sub0,
-                    self.strengthened_total - str0,
-                )
-            if not self._ok:
-                return UNSAT
-            self._simplify_at = max(2000, len(self._clause_refs) * 3 // 2)
-        if self._garbage * 2 > len(self._arena):
-            self._compact_arena()
 
         assume_lits = [sel << 1 for sel in self._scopes]
         assume_lits += [self._lit(a) for a in assumptions]
@@ -946,6 +931,31 @@ class SatSolver:
         finally:
             self._n_assumptions = 0
             self._backtrack(0)
+
+    def simplify(self, now: bool = True) -> None:
+        """Level-0 simplification (:meth:`_simplify`): right away, for
+        a caller that just retired many clauses with units and wants
+        them collected, or (``now=False``, what every :meth:`solve`
+        asks) only once the clause database has outgrown its schedule."""
+        if not self._ok:
+            return
+        self._backtrack(0)
+        if self.propagate() is not None:
+            self._ok = False
+            return
+        if now or len(self._clause_refs) >= self._simplify_at:
+            sub0, str0 = self.subsumed_total, self.strengthened_total
+            self._simplify()
+            if self.events is not None:
+                self.events.inprocessing(
+                    self.subsumed_total - sub0,
+                    self.strengthened_total - str0,
+                )
+            if not self._ok:
+                return
+            self._simplify_at = max(2000, len(self._clause_refs) * 3 // 2)
+        if self._garbage * 2 > len(self._arena):
+            self._compact_arena()
 
     def _search(self, assume_lits: List[int], max_conflicts: Optional[int]) -> str:
         restart_count = 0
@@ -1041,16 +1051,16 @@ class SatSolver:
     def _extract_model(self) -> None:
         lvals = self._lvals
         phase = self._phase
-        self.model = [None] + [
+        self.model = b"\0" + bytes(
             (lvals[var << 1] > 0) if lvals[var << 1] >= 0 else phase[var]
             for var in range(1, self.nvars + 1)
-        ]
+        )
 
     def value(self, var: int) -> Optional[bool]:
         """Model value of ``var`` after a ``sat`` answer (``None`` for a
         variable allocated since: that answer does not constrain it)."""
         var = abs(var)
-        return self.model[var] if var < len(self.model) else None
+        return bool(self.model[var]) if var < len(self.model) else None
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -100,7 +100,6 @@ typedef struct Sat {
     int32_t qhead;
 
     int ok;
-    int has_model;
 
     int64_t conflicts, decisions, propagations, restarts;
     int64_t learned, subsumed, strengthened;
@@ -242,6 +241,7 @@ int32_t sat_new_var(Sat *s) {
         s->seen = (int8_t *)realloc(s->seen, (size_t)(cap + 1));
         s->selector = (int8_t *)realloc(s->selector, (size_t)(cap + 1));
         s->model = (int8_t *)realloc(s->model, (size_t)(cap + 1));
+        s->model[0] = 0;
         s->activity = (double *)realloc(s->activity, (size_t)(cap + 1) * 8);
         s->heap = (int32_t *)realloc(s->heap, (size_t)(cap + 1) * 4);
         s->hpos = (int32_t *)realloc(s->hpos, (size_t)(cap + 1) * 4);
@@ -1010,7 +1010,6 @@ static int32_t luby(int32_t i) {
 static void extract_model(Sat *s) {
     for (int32_t v = 1; v <= s->nvars; v++)
         s->model[v] = s->vals[v << 1] >= 0 ? s->vals[v << 1] : s->phase[v];
-    s->has_model = 1;
 }
 
 static int search(Sat *s, const int32_t *assume, int32_t nassume,
@@ -1228,25 +1227,42 @@ void sat_gc_lit(Sat *s, int32_t dead_signed) {
     }
 }
 
-int sat_solve(Sat *s, const int32_t *signed_assumps, int32_t n,
-              int64_t max_conflicts) {
-    s->core.n = 0;
+/* Level-0 simplification: when the clause database has outgrown its
+ * schedule (every sat_solve asks), or right away (`now`: a caller that
+ * just retired many clauses with units and wants them collected). */
+void sat_simplify(Sat *s, int now) {
     if (!s->ok)
-        return SAT_FALSE;
+        return;
     backtrack(s, 0);
     if (propagate(s)) {
         s->ok = 0;
-        return SAT_FALSE;
+        return;
     }
-    if (s->clauses.n >= s->simplify_at) {
+    if (now || s->clauses.n >= s->simplify_at) {
         simplify(s);
         if (!s->ok)
-            return SAT_FALSE;
+            return;
         int64_t next = (int64_t)s->clauses.n * 3 / 2;
         s->simplify_at = next > 2000 ? next : 2000;
     }
     if (s->garbage * 2 > s->arena_n)
         compact_arena(s);
+}
+
+/* Returns SAT_TRUE / SAT_FALSE / SAT_UNKNOWN, or -(k + 1) when
+ * assumption k names no variable (nothing is touched then). */
+int sat_solve(Sat *s, const int32_t *signed_assumps, int32_t n,
+              int64_t max_conflicts) {
+    for (int32_t k = 0; k < n; k++) {
+        int64_t v = signed_assumps[k] < 0 ? -(int64_t)signed_assumps[k]
+                                          : signed_assumps[k];
+        if (v < 1 || v > s->nvars)
+            return -(k + 1);
+    }
+    s->core.n = 0;
+    sat_simplify(s, 0);
+    if (!s->ok)
+        return SAT_FALSE;
 
     int32_t *assume = (int32_t *)malloc((size_t)(n > 0 ? n : 1) * 4);
     for (int32_t k = 0; k < n; k++) {
@@ -1264,11 +1280,9 @@ int sat_solve(Sat *s, const int32_t *signed_assumps, int32_t n,
     return result;
 }
 
-/* Copies the model into out[1..nvars] (0/1); out needs nvars+1 bytes. */
-void sat_model_get(Sat *s, int8_t *out) {
-    if (s->has_model)
-        memcpy(out + 1, s->model + 1, (size_t)s->nvars);
-}
+/* The last sat answer, for the caller to copy right after SAT_TRUE:
+ * model[1..nvars] are 0/1, model[0] is 0. */
+const int8_t *sat_model(Sat *s) { return s->model; }
 
 int32_t sat_core_len(Sat *s) { return s->core.n; }
 

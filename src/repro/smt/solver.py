@@ -9,10 +9,16 @@ after the small subset of the z3py API that VMN's encoding needs::
         m = s.model()
         print(m[a])
 
-``check`` accepts assumption terms (used heavily by the BMC driver to
+``check`` accepts assumptions (used heavily by the BMC driver to
 activate one invariant at a time on a shared network encoding) and an
 optional conflict budget, returning ``"unknown"`` when exhausted —
-mirroring how the paper leans on Z3's heuristics and timeouts.
+mirroring how the paper leans on Z3's heuristics and timeouts.  An
+assumption is a term or the integer :meth:`Solver.literal` already made
+of one: the proof engines issue thousands of sub-millisecond queries
+over one fixed state vocabulary, so they encode it once and then talk
+to the SAT core in integers (:meth:`Solver.add_clause`, ``check``'s
+``clause=`` for a clause that lives for one query) — no term is built,
+interned or visited per query.
 
 The solver is incremental end-to-end: ``push()``/``pop()`` open and
 close assertion scopes (activation-literal based, see
@@ -24,21 +30,21 @@ cumulative across calls.
 
 Terms go to the converter as the model built them — one pass, no
 lowered copy: ``add`` calls ``assert_term`` and ``check`` calls
-``literal`` on each assumption, and each call leaves the converter's
-clause buffer empty (see :mod:`repro.smt.cnf`).  Enum-domain side
-conditions discovered during a call are asserted right after it.
+``literal`` on each assumption *term*, and each call leaves the
+converter's clause buffer empty (see :mod:`repro.smt.cnf`).  Enum-domain
+side conditions discovered during a call are asserted right after it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..obs import SolverEventSink, get_registry, get_tracer, solver_counter_snapshot
 from .cnf import CnfConverter
-from .encode import EnumLowering, bit_name
+from .encode import EnumLowering
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
 from .sorts import EnumSort
-from .terms import BoolVar, Term
+from .terms import Term
 
 __all__ = ["Solver", "Model", "SAT", "UNSAT", "UNKNOWN"]
 
@@ -49,10 +55,17 @@ class Model:
     ``model[x]`` returns a Python ``bool`` for boolean variables and the
     enum *value* (string/int) for enum variables.  Compound terms are
     evaluated structurally.
+
+    A model is a snapshot: it holds the SAT core's answer as one
+    immutable sequence (:attr:`values`, one 0/1 byte per SAT variable,
+    index 0 unused) and keeps reading that answer after later
+    ``check`` calls.  A variable the answer does not cover — never
+    encoded, or allocated since — reads ``False`` / code 0.
     """
 
     def __init__(self, solver: "Solver"):
         self._solver = solver
+        self.values: Sequence[int] = solver.sat.model
         self._cache: Dict[Term, object] = {}
 
     def __getitem__(self, term: Term):
@@ -74,9 +87,9 @@ class Model:
         if kind == "false":
             return False
         if kind == "var":
-            return self._solver._bool_value(term)
+            return self._solver._bool_value(term, self.values)
         if kind == "evar":
-            return self._solver._enum_value(term)
+            return self._solver._enum_value(term, self.values)
         if kind == "econst":
             return term.payload
         if kind == "not":
@@ -103,7 +116,7 @@ class Solver:
         self._cnf = CnfConverter(self.sat, self._lowering)
         self.assertions: List[Term] = []
         self._result: Optional[str] = None
-        self._assumption_terms: Dict[int, Term] = {}
+        self._assumed: tuple = ((), ())  # last check: (literals, items)
         self._scope_marks: List[int] = []  # len(assertions) at each push
 
     # ------------------------------------------------------------------
@@ -140,6 +153,36 @@ class Solver:
         self._assert_side_conditions()
 
     # ------------------------------------------------------------------
+    # The integer surface: encode once, then talk in literals
+    # ------------------------------------------------------------------
+    def literal(self, term: Term) -> int:
+        """The SAT literal equivalent to ``term`` in both polarities
+        (``-literal`` is its negation); its definitions are permanent
+        and emitted once.  What :meth:`check` makes of an assumption
+        term — callers that assume the same terms again and again keep
+        the integer and pass that."""
+        lit = self._cnf.literal(term)
+        self._assert_side_conditions()
+        return lit
+
+    def new_literal(self) -> int:
+        """A fresh unconstrained literal (an activation literal: guard
+        clauses with its negation, assume it, retire it with the unit
+        ``add_clause([-lit])``)."""
+        return self.sat.new_var()
+
+    def add_clause(self, lits: Sequence[int]) -> None:
+        """Assert the disjunction of already-encoded literals, scoped
+        like :meth:`add`; goes straight to the clause buffer."""
+        self._cnf.add_clause(lits)
+
+    def simplify(self) -> None:
+        """Have the SAT core collect, now, every clause that units have
+        satisfied for good (retired activation literals) instead of at
+        its next scheduled simplification."""
+        self.sat.simplify()
+
+    # ------------------------------------------------------------------
     # Assertion scopes
     # ------------------------------------------------------------------
     def push(self) -> None:
@@ -166,17 +209,39 @@ class Solver:
 
     def check(
         self,
-        assumptions: Iterable[Term] = (),
+        assumptions: Iterable[Union[Term, int]] = (),
         max_conflicts: Optional[int] = None,
+        clause: Optional[Sequence[int]] = None,
     ) -> str:
-        """Decide satisfiability; returns ``"sat"``/``"unsat"``/``"unknown"``."""
-        lits = []
-        self._assumption_terms = {}
-        for term in assumptions:
-            lit = self._cnf.literal(term)
-            self._assert_side_conditions()
-            lits.append(lit)
-            self._assumption_terms[lit] = term
+        """Decide satisfiability; returns ``"sat"``/``"unsat"``/``"unknown"``.
+
+        Each assumption is a boolean term or an integer literal from
+        :meth:`literal` / :meth:`new_literal` (freely mixed; integers
+        skip the converter).  ``clause`` is a disjunction of integer
+        literals that holds for this query only: it is guarded by a
+        fresh activation literal, assumed, and retired with a unit
+        before ``check`` returns, so the SAT core's next level-0
+        simplification collects it together with every learned clause
+        that depended on it.  (Not ``push``/``pop``: a pop scans the
+        whole clause arena, and a proof search asks thousands of such
+        queries.)
+        """
+        items = list(assumptions)
+        literal = self.literal
+        lits = [a if type(a) is int else literal(a) for a in items]
+        self._assumed = (lits, items)
+        if clause is None:
+            self._result = self._solve(lits, max_conflicts)
+            return self._result
+        activation = self.sat.new_var()
+        self._cnf.add_clause([-activation, *clause], permanent=True)
+        try:
+            self._result = self._solve(lits + [activation], max_conflicts)
+        finally:
+            self._cnf.add_clause([-activation], permanent=True)
+        return self._result
+
+    def _solve(self, lits: List[int], max_conflicts: Optional[int]) -> str:
         tracer = get_tracer()
         if not tracer.enabled:
             # getattr: stand-in solvers (the vendored pre-rewrite SAT
@@ -184,8 +249,7 @@ class Solver:
             # sink and carry no ``events`` slot.
             if getattr(self.sat, "events", None) is not None:
                 self.sat.events = None  # observe() scope ended; detach
-            self._result = self.sat.solve_with(lits, max_conflicts=max_conflicts)
-            return self._result
+            return self.sat.solve_with(lits, max_conflicts=max_conflicts)
         # Observability path: one span per solver query, its counter
         # deltas as tags and absorbed into the registry, with the
         # restart/inprocessing event sink attached for the duration.
@@ -198,7 +262,7 @@ class Solver:
                 pass
         before = solver_counter_snapshot(self.sat.stats())
         with tracer.span("solve", cat="smt", assumptions=len(lits)) as span:
-            self._result = self.sat.solve_with(lits, max_conflicts=max_conflicts)
+            result = self.sat.solve_with(lits, max_conflicts=max_conflicts)
             delta = {
                 k: v - before[k]
                 for k, v in solver_counter_snapshot(self.sat.stats()).items()
@@ -206,24 +270,22 @@ class Solver:
             registry.record_solver(delta)
             registry.counter(
                 "repro_solver_queries_total", "solver queries issued"
-            ).inc(result=self._result)
-            span.tag(result=self._result, **delta)
-        return self._result
+            ).inc(result=result)
+            span.tag(result=result, **delta)
+        return result
 
-    def unsat_core(self) -> List[Term]:
+    def unsat_core(self) -> list:
         """The failed assumptions of the last ``unsat`` answer.
 
-        A (not necessarily minimal) subset of the assumption terms that
-        is already inconsistent with the assertions.  Empty when the
-        assertions are unsatisfiable on their own.
+        A (not necessarily minimal) subset of the assumptions, each
+        handed back as it was passed in (term or integer), that is
+        already inconsistent with the assertions (and the query's
+        ``clause``).  Empty when those are unsatisfiable on their own.
         """
         if self._result != UNSAT:
             raise RuntimeError(f"no core available (last result: {self._result})")
-        return [
-            self._assumption_terms[lit]
-            for lit in self.sat.core
-            if lit in self._assumption_terms
-        ]
+        item_of = dict(zip(*self._assumed))
+        return [item_of[lit] for lit in self.sat.core if lit in item_of]
 
     def minimal_core(
         self,
@@ -308,21 +370,20 @@ class Solver:
     # ------------------------------------------------------------------
     # Model-extraction plumbing used by Model.
     # ------------------------------------------------------------------
-    def _bool_value(self, var_term: Term) -> bool:
+    def _bool_value(self, var_term: Term, values: Sequence[int]) -> bool:
         lit = self._cnf._lit_of.get(var_term)
         if lit is None:
             return False  # unconstrained variable: any value works
-        value = self.sat.value(abs(lit))
-        if value is None:
-            return False
-        return value if lit > 0 else not value
+        var = abs(lit)
+        if var >= len(values):
+            return False  # allocated after this answer
+        return bool(values[var]) == (lit > 0)
 
-    def _enum_value(self, var_term: Term):
+    def _enum_value(self, var_term: Term, values: Sequence[int]):
         sort: EnumSort = var_term.sort  # type: ignore[assignment]
         code = 0
-        for i in range(sort.nbits):
-            bit_var = BoolVar(bit_name(var_term.payload, i))
-            if self._bool_value(bit_var):
+        for i, bit in enumerate(self._lowering.bits_of(var_term)):
+            if self._bool_value(bit, values):
                 code |= 1 << i
         if code >= sort.size:
             code = 0  # unconstrained bits may decode out of range

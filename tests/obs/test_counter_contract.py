@@ -127,3 +127,56 @@ class TestEncoderCounters:
         text = obs.render_stats(obs.load_trace(out))
         assert "steps instanced" in text
         assert "repro_encoder_steps_instanced_total" in text
+
+
+# ----------------------------------------------------------------------
+# Proof-search counters: how the engines phrased their queries
+# ----------------------------------------------------------------------
+QUERY_TAGS = ("queries", "temp_clauses", "vocab_lits")
+
+
+class TestProofQueryCounters:
+    def test_rounds_and_minimise_tag_their_queries(self, tmp_path):
+        """``proof:engine-round`` / ``proof:minimize`` say how many
+        queries a turn issued, how many carried a single-query clause
+        and how large the compiled vocabulary was; the clauses sum into
+        ``repro_proof_temp_clauses_total``, which ``repro stats`` prints."""
+        invariant = NodeIsolation("priv", "ext")
+        with obs.observe() as (tracer, registry):
+            with tracer.span("prove", cat="cli"):
+                result = portfolio.prove_portfolio(
+                    _firewalled(), invariant, max_k=0, **_PARAMS
+                )
+        assert result.holds and result.engine == "ic3"
+        assert result.minimize is not None
+        rounds = [
+            r["args"] for r in tracer.records()
+            if (r["cat"], r["name"]) == ("proof", "engine-round")
+        ]
+        shrink, = [
+            r["args"] for r in tracer.records()
+            if (r["cat"], r["name"]) == ("proof", "minimize")
+        ]
+        for args in rounds + [shrink]:
+            assert set(QUERY_TAGS) <= set(args)
+            assert 0 <= args["temp_clauses"] <= args["queries"]
+        by_engine = {}
+        for args in rounds:
+            by_engine.setdefault(args["engine"], []).append(args)
+        assert all(a["temp_clauses"] == 0 for a in by_engine["bmc"])
+        assert sum(a["temp_clauses"] for a in by_engine["ic3"]) > 0
+        assert shrink["queries"] == result.minimize.solver_checks
+        assert 0 < shrink["temp_clauses"] <= shrink["queries"]
+        # The vocabulary is compiled by the search and only read afterwards.
+        assert shrink["vocab_lits"] == max(a["vocab_lits"] for a in rounds) > 0
+        issued = sum(a["temp_clauses"] for a in rounds) + shrink["temp_clauses"]
+        snapshot = registry.snapshot()
+        assert snapshot["repro_proof_temp_clauses_total"] == issued
+        assert sum(a["queries"] for a in rounds) + shrink["queries"] == \
+            result.solver_checks
+        out = str(tmp_path / "run.json")
+        obs.write_run_record(out, tracer, registry, meta={"command": "prove"})
+        text = obs.render_stats(obs.load_trace(out))
+        assert "single-query clauses" in text
+        assert "repro_proof_temp_clauses_total" in text
+        assert "repro_ic3_frame_extensions_total" in text

@@ -88,6 +88,37 @@ class TestNativeMatchesPython:
         assert nat.solve([-3, -4]) == UNSAT
         assert nat.core and py.solve(nat.core) == UNSAT
 
+    def test_model_and_assumption_contract_is_the_same_on_both(self):
+        """Same type, same layout, same errors — what lets everything
+        above index ``model`` in bulk without asking which core runs."""
+        rng = random.Random(7)
+        for _ in range(30):
+            nv = rng.randint(2, 10)
+            py, nat = PySatSolver(), NativeSatSolver()
+            py.new_vars(nv)
+            nat.new_vars(nv)
+            assert py.model == nat.model == b""
+            for _ in range(rng.randint(1, 12)):
+                cl = [rng.choice([1, -1]) * v
+                      for v in rng.sample(range(1, nv + 1), min(3, nv))]
+                py.add_clause(cl)
+                nat.add_clause(cl)
+            assume = [rng.choice([1, -1]) * v
+                      for v in rng.sample(range(1, nv + 1), rng.randint(0, 2))]
+            if py.solve(assume) != SAT:
+                assert nat.solve(assume) == UNSAT
+                continue
+            assert nat.solve(assume) == SAT
+            for sat in (py, nat):
+                assert type(sat.model) is bytes and len(sat.model) == nv + 1
+                assert all(sat.value(q) is (q > 0) for q in assume)
+                later = sat.new_var()
+                assert sat.value(later) is None and len(sat.model) == later
+            for bad in (0, nv + 2, -(nv + 2)):
+                for sat in (py, nat):
+                    with pytest.raises(ValueError):
+                        sat.solve(assume + [bad])
+
     def test_stats_shape_matches(self):
         py, nat = PySatSolver(), NativeSatSolver()
         for s in (py, nat):

@@ -1,12 +1,25 @@
 """Unit and property tests for the CDCL SAT core."""
 
 import itertools
+import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt.sat import SAT, UNKNOWN, UNSAT, SatSolver, luby
+from repro.smt.sat import (
+    NATIVE_ENABLED,
+    SAT,
+    UNKNOWN,
+    UNSAT,
+    PySatSolver,
+    SatSolver,
+    luby,
+)
+
+CORES = [PySatSolver] + ([SatSolver] if NATIVE_ENABLED else [])
+both_cores = pytest.mark.parametrize("core", CORES, ids=lambda c: c.__name__)
 
 
 def make_solver(nvars):
@@ -227,3 +240,67 @@ class TestAgainstBruteForce:
 
         expected = brute_force(nvars, clauses + [[a] for a in assumptions])
         assert result_assumed == (SAT if expected else UNSAT)
+
+
+@both_cores
+class TestModelAndAssumptionContract:
+    """What the layers above rely on, identically on both cores: the
+    last model is one ``bytes`` object indexed by variable, and
+    assumptions are any int sequence, range-checked by the core."""
+
+    @staticmethod
+    def _random_instance(core, rng, nvars=12, nclauses=30):
+        sat = core()
+        sat.new_vars(nvars)
+        clauses = [
+            [rng.choice((1, -1)) * v for v in rng.sample(range(1, nvars + 1), 3)]
+            for _ in range(nclauses)
+        ]
+        for clause in clauses:
+            sat.add_clause(clause)
+        return sat, clauses
+
+    def test_the_model_is_bytes_and_reads_like_the_old_list(self, core):
+        rng = random.Random(20)
+        answered = 0
+        for _ in range(40):
+            sat, clauses = self._random_instance(core, rng)
+            if sat.solve() != SAT:
+                continue
+            answered += 1
+            model = sat.model
+            assert type(model) is bytes and len(model) == sat.nvars + 1
+            assert model[0] == 0 and set(model) <= {0, 1}
+            as_list = [None, *map(bool, model[1:])]  # the old representation
+            for var in range(1, sat.nvars + 1):
+                assert sat.value(var) is as_list[var] is sat.value(-var)
+            for clause in clauses:
+                assert any(as_list[abs(q)] is (q > 0) for q in clause)
+            # A variable allocated after the answer is not covered by it,
+            # and allocating it does not disturb the snapshot.
+            later = sat.new_var()
+            assert sat.value(later) is None
+            assert sat.model is model and len(model) == later
+        assert answered >= 10
+
+    def test_assumptions_are_any_int_sequence(self, core):
+        sat = core()
+        a, b, c = sat.new_var(), sat.new_var(), sat.new_var()
+        sat.add_clause([-a, -b])
+        for assume in ([a, b, c], (a, b, c), array("i", [a, b, c])):
+            assert sat.solve(assume) == UNSAT
+            assert set(sat.core) == {a, b}
+        assert sat.solve(array("i", [a, -b])) == SAT
+        assert sat.value(a) is True and sat.value(b) is False
+
+    @pytest.mark.parametrize("bad", [0, 4, -4, 2 ** 31 - 1, -(2 ** 31), 2 ** 40])
+    def test_an_assumption_naming_no_variable_raises_value_error(self, core, bad):
+        sat = core()
+        a, b, _ = sat.new_var(), sat.new_var(), sat.new_var()
+        sat.add_clause([a, b])
+        with pytest.raises(ValueError):
+            sat.solve([a, bad])
+        with pytest.raises(ValueError):
+            sat.solve(array("i", [bad]) if abs(bad) < 2 ** 31 else [bad])
+        # Refused before anything was touched: the solver still answers.
+        assert sat.solve([-a]) == SAT and sat.value(b) is True

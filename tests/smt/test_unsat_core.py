@@ -1,10 +1,14 @@
 """Tests for unsat-core extraction (failed assumptions)."""
 
+import random
+
 import pytest
 
+import repro.smt.solver as solver_mod
 from repro.smt import (
     SAT,
     UNSAT,
+    And,
     BoolVar,
     EnumConst,
     EnumSort,
@@ -15,6 +19,10 @@ from repro.smt import (
     Or,
     Solver,
 )
+from repro.smt.sat import NATIVE_ENABLED, PySatSolver, SatSolver
+
+CORES = [PySatSolver] + ([SatSolver] if NATIVE_ENABLED else [])
+both_cores = pytest.mark.parametrize("core", CORES, ids=lambda c: c.__name__)
 
 
 class TestSatCore:
@@ -174,3 +182,144 @@ class TestCoreUnderScopes:
         s.pop()
         assert s.check(assumptions=[red, green]) == UNSAT
         assert set(s.unsat_core()) <= {red, green}
+
+
+# ----------------------------------------------------------------------
+# The integer surface: literals for terms, clauses for one query
+# ----------------------------------------------------------------------
+def _constrained_solver():
+    """A small formula over booleans and one enum, plus the pool of
+    assumption terms the tests draw from."""
+    xs = [BoolVar(f"lit_x{i}") for i in range(8)]
+    color = EnumSort("lit_color", ("red", "green", "blue"))
+    hue = EnumVar("lit_hue", color)
+    solver = Solver()
+    solver.add(Implies(xs[0], Not(xs[1])))
+    solver.add(Implies(And(xs[2], xs[3]), xs[4]))
+    solver.add(Or(xs[5], xs[6], Eq(hue, EnumConst(color, "red"))))
+    solver.add(Implies(xs[7], Eq(hue, EnumConst(color, "blue"))))
+    solver.add(Implies(xs[4], Not(Eq(hue, EnumConst(color, "blue")))))
+    pool = xs + [Not(x) for x in xs]
+    pool += [Eq(hue, EnumConst(color, v)) for v in color.values]
+    pool += [Or(xs[0], xs[7]), And(xs[2], xs[3]), Not(Or(xs[5], xs[6]))]
+    return solver, pool
+
+
+@both_cores
+class TestIntegerAssumptions:
+    def test_literals_answer_like_their_terms(self, core, monkeypatch):
+        """300 random assumption sets, one solver given the terms and
+        its twin given their literals (or a mix): same answer, every
+        assumption true in the model, and a core made of the very
+        items that were passed in."""
+        monkeypatch.setattr(solver_mod, "SatSolver", core)
+        by_term, pool = _constrained_solver()
+        by_lit, _ = _constrained_solver()
+        rng = random.Random(300)
+        seen = set()
+        for _ in range(300):
+            terms = rng.sample(pool, rng.randint(1, 5))
+            items = [
+                t if rng.random() < 0.3 else by_lit.literal(t) for t in terms
+            ]
+            expected = by_term.check(terms)
+            assert by_lit.check(items) == expected, terms
+            seen.add(expected)
+            if expected == SAT:
+                model = by_lit.model()
+                assert all(model[t] is True for t in terms)
+            else:
+                core_items = by_lit.unsat_core()
+                assert all(any(c is i for i in items) for c in core_items)
+                assert by_lit.check(core_items) == UNSAT
+                assert by_term.check(
+                    [terms[items.index(c)] for c in core_items]
+                ) == UNSAT
+        assert seen == {SAT, UNSAT}
+
+    def test_a_literal_is_its_term_in_both_polarities(self, core, monkeypatch):
+        monkeypatch.setattr(solver_mod, "SatSolver", core)
+        solver, pool = _constrained_solver()
+        for term in pool:
+            lit = solver.literal(term)
+            assert solver.literal(term) == lit  # encoded once
+            assert solver.literal(Not(term)) == -lit
+            assert solver.check([lit, Not(term)]) == UNSAT
+            assert solver.check([-lit, term]) == UNSAT
+
+    def test_add_clause_is_the_disjunction_of_its_literals(self, core, monkeypatch):
+        monkeypatch.setattr(solver_mod, "SatSolver", core)
+        by_term, pool = _constrained_solver()
+        by_lit, _ = _constrained_solver()
+        rng = random.Random(11)
+        for _ in range(6):
+            disjuncts = rng.sample(pool[:16], 3)
+            by_term.add(Or(*disjuncts))
+            terms_before = by_lit.encoder_counters()["terms"]
+            lits = [by_lit.literal(t) for t in disjuncts]
+            by_lit.add_clause(lits)
+        assert by_lit.encoder_counters()["terms"] == terms_before  # no term met
+        for _ in range(100):
+            assume = rng.sample(pool, 3)
+            assert by_lit.check(assume) == by_term.check(assume), assume
+
+
+@both_cores
+class TestSingleQueryClause:
+    def test_it_holds_for_that_query_only(self, core, monkeypatch):
+        monkeypatch.setattr(solver_mod, "SatSolver", core)
+        solver, pool = _constrained_solver()
+        x0, x1 = pool[0], pool[1]
+        l0, l1 = solver.literal(x0), solver.literal(x1)
+        assert solver.check([Not(x0), Not(x1)]) == SAT
+        # (x0 or x1) for this query only: the assumptions contradict it.
+        assert solver.check([-l0, Not(x1)], clause=[l0, l1]) == UNSAT
+        assert solver.unsat_core() == [-l0, Not(x1)]  # not the activation
+        assert solver.check([-l0], clause=[l0, l1]) == SAT
+        assert solver.model()[x1] is True
+        assert solver.check([Not(x0), Not(x1)]) == SAT  # and gone again
+
+    def test_a_retired_clause_leaves_an_equisatisfiable_solver(self, core, monkeypatch):
+        """After 200 queries that each carried a clause of their own,
+        the solver answers like one that never saw any of them, its
+        database is larger only by clauses that are already satisfied,
+        and a simplification takes those away."""
+        monkeypatch.setattr(solver_mod, "SatSolver", core)
+        used, pool = _constrained_solver()
+        fresh, _ = _constrained_solver()
+        lits = [used.literal(t) for t in pool]
+        for t in pool:
+            fresh.literal(t)  # same definitions on both sides
+        base = fresh.stats()["clauses"]
+        assert used.stats()["clauses"] == base
+        rng = random.Random(5)
+        for _ in range(200):
+            assume = rng.sample(pool, 2)
+            clause = rng.sample(lits, 3)
+            with_clause = used.check(assume, clause=clause)
+            if with_clause == SAT:
+                model = used.model()
+                assert any(model[pool[lits.index(q)]] for q in clause)
+            else:
+                assert fresh.check(
+                    assume + [Or(*(pool[lits.index(q)] for q in clause))]
+                ) == UNSAT
+        assert base < used.stats()["clauses"] <= base + 200
+        for _ in range(200):
+            assume = rng.sample(pool, 3)
+            assert used.check(assume) == fresh.check(assume), assume
+        used.simplify()
+        assert used.stats()["clauses"] <= base
+        assert used.check() == fresh.check() == SAT
+
+    def test_the_clause_is_retired_even_when_the_query_raises(self, core, monkeypatch):
+        monkeypatch.setattr(solver_mod, "SatSolver", core)
+        solver, pool = _constrained_solver()
+        l0, l1 = solver.literal(pool[0]), solver.literal(pool[1])
+        base = solver.stats()["clauses"]
+        with pytest.raises(ValueError):
+            solver.check([l0, 10 ** 6], clause=[-l0, l1])
+        assert solver.stats()["clauses"] == base + 1
+        solver.simplify()
+        assert solver.stats()["clauses"] <= base
+        assert solver.check([l0]) == SAT
