@@ -50,7 +50,7 @@ import multiprocessing
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
 from ..provenance import record as provenance
@@ -348,6 +348,7 @@ def execute_jobs(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     solver_pool: Optional[SolverPool] = None,
+    known: Optional[Mapping[str, CheckResult]] = None,
 ) -> List[CheckResult]:
     """Run a batch of jobs and return their results **in job order**.
 
@@ -364,6 +365,11 @@ def execute_jobs(
     live encoding and its learned clauses.  The pool only affects how
     fast a verdict is reached, never which verdict — pool workers
     ignore it.
+
+    ``known`` maps fingerprints to verdicts the caller still holds for
+    checks *outside* this batch (a session's carried outcomes): a job
+    isomorphic to one is its follower, as if that check had been re-run
+    at the head of the batch (§4.2 symmetry), with or without ``cache``.
     """
     if workers is None:
         workers = default_workers()
@@ -381,6 +387,8 @@ def execute_jobs(
             fp = job.fingerprint
             if fp is not None:
                 hit = cache.get(fp) if cache is not None else None
+                if hit is None and known is not None:
+                    hit = known.get(fp)
                 if hit is not None:
                     results[job.index] = _rebind(hit, job, cached=True)
                     continue

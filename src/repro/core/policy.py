@@ -77,23 +77,27 @@ def policy_equivalence_classes(
         # (middlebox instances are policy-relevant individually).
         return group_of.get(addr, ("mbox", addr))
 
+    # One pass over every model's entries, bucketed by the host each
+    # one mentions (entries are sorted per host below, so the bucket
+    # order is immaterial).
+    entries: Dict[str, List[tuple]] = {host: [] for host in group_of}
+    for model in topology.middlebox_models():
+        box_type = type(model).__name__
+        for kind, a, b in model.config_pairs():
+            if a in entries:
+                entries[a].append((box_type, kind, "src", peer_group(b)))
+            if b in entries:
+                entries[b].append((box_type, kind, "dst", peer_group(a)))
+
     signatures: Dict[str, tuple] = {}
-    models = topology.middlebox_models()
     for host in sorted(group_of):
         chain = steering.chains.get(host, ())
         chain_types = tuple(
             type(topology.node(m).model).__name__ for m in chain if m in topology
         )
-        entries: List[tuple] = []
-        for model in models:
-            for kind, a, b in model.config_pairs():
-                if a == host:
-                    entries.append((type(model).__name__, kind, "src", peer_group(b)))
-                if b == host:
-                    entries.append((type(model).__name__, kind, "dst", peer_group(a)))
         signatures[host] = (
             group_of[host],
             chain_types,
-            tuple(sorted(entries, key=repr)),
+            tuple(sorted(entries[host], key=repr)),
         )
     return PolicyClasses(signatures)

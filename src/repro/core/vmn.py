@@ -34,6 +34,7 @@ import time
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from ..netmodel.bmc import CheckResult
+from ..netmodel.rules import TransferRule
 from ..netmodel.system import VerificationNetwork
 from ..obs import get_registry, get_tracer
 from ..network.failures import NO_FAILURE, FailureScenario
@@ -122,6 +123,7 @@ class VMN:
         cache: Optional[ResultCache] = None,
         use_warm: bool = True,
         solver_pool: Optional[SolverPool] = None,
+        rules: Optional[Tuple[TransferRule, ...]] = None,
     ):
         self.topology = topology
         self.steering = steering or SteeringPolicy()
@@ -129,15 +131,21 @@ class VMN:
         self.use_slicing = use_slicing
         self.use_symmetry = use_symmetry
         self.allow_spoofing = allow_spoofing
-        self.tables = tables if tables is not None else shortest_path_tables(
-            topology, scenario
-        )
-        self.rules = compute_transfer_rules(
-            topology, self.tables, self.steering, scenario
-        )
-        self.policy_classes: PolicyClasses = policy_equivalence_classes(
-            topology, self.steering
-        )
+        #: The ``topology.revision`` collapsed here: ``tables``/``rules``
+        #: stay valid for it under the same steering and scenario.
+        self.revision = topology.revision
+        tracer = get_tracer()
+        with tracer.span("collapse", cat="audit", reused=rules is not None):
+            self.tables = tables if tables is not None else shortest_path_tables(
+                topology, scenario
+            )
+            self.rules = rules if rules is not None else compute_transfer_rules(
+                topology, self.tables, self.steering, scenario
+            )
+        with tracer.span("policy-classes", cat="audit"):
+            self.policy_classes: PolicyClasses = policy_equivalence_classes(
+                topology, self.steering
+            )
         #: Verdict cache shared by ``verify``/``verify_all`` calls on
         #: this instance; pass ``cache=`` to share one across VMNs.
         self.result_cache: Optional[ResultCache] = (

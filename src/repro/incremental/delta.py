@@ -14,9 +14,11 @@ capture whatever pre-state they need (an evicted host's links and
 policy group, a replaced middlebox's old model) at apply time, so a
 delta stream can be replayed forwards and backwards.
 
-``touched_nodes()`` names the nodes a delta directly edits; the
-change-impact index (:mod:`repro.incremental.impact`) combines it with
-a transfer-rule diff to decide which invariants must be re-verified.
+``touched_nodes()`` names the nodes a delta directly edits and
+``reconfigured_nodes()`` those among them it only pushes a new
+configuration to; the change-impact index
+(:mod:`repro.incremental.impact`) combines them with a transfer-rule
+diff to decide which invariants must be re-verified.
 """
 
 from __future__ import annotations
@@ -71,6 +73,13 @@ class NetworkDelta:
     def touched_nodes(self) -> FrozenSet[str]:
         """Nodes this delta directly edits (impact-index seed set)."""
         raise NotImplementedError
+
+    def reconfigured_nodes(self) -> FrozenSet[str]:
+        """Those of :meth:`touched_nodes` whose *only* edit is a model
+        swap in place (a config push): the impact index compares their
+        configuration per slice.  The default, none, is the
+        conservative rule — every slice containing them re-verifies."""
+        return frozenset()
 
     def describe(self) -> str:
         return type(self).__name__
@@ -207,6 +216,9 @@ class ReplaceMiddlebox(NetworkDelta):
         # *newly* joins are reached through the new model's linked_nodes.
         return frozenset({self.model.name, *self.model.linked_nodes()})
 
+    def reconfigured_nodes(self):
+        return frozenset({self.model.name})
+
     def describe(self):
         return f"replace-middlebox {self.model.name}"
 
@@ -244,6 +256,8 @@ class EditPolicyRules(NetworkDelta):
 
     def touched_nodes(self):
         return frozenset({self.middlebox})
+
+    reconfigured_nodes = touched_nodes  # a rule edit is nothing but a push
 
     def describe(self):
         return (f"edit-rules {self.middlebox} "
@@ -359,6 +373,17 @@ class DeltaSequence(NetworkDelta):
         for delta in self.deltas:
             out.update(delta.touched_nodes())
         return frozenset(out)
+
+    def reconfigured_nodes(self):
+        # A box one member reconfigures and another touches for any
+        # other reason (re-linked, newly linked to, re-steered) is not
+        # reconfigured *only*.
+        swapped, otherwise = set(), set()
+        for delta in self.deltas:
+            config_only = delta.reconfigured_nodes()
+            swapped.update(config_only)
+            otherwise.update(delta.touched_nodes() - config_only)
+        return frozenset(swapped - otherwise)
 
     def __len__(self) -> int:
         return len(self.deltas)

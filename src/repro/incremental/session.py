@@ -8,14 +8,17 @@ that stays **warm across versions**, and a
 check was last verified on.
 
 ``apply(delta)`` advances the network one version and re-establishes
-every tracked verdict at a fraction of a full audit's cost, through
-three nested shortcuts:
+every tracked verdict at a cost proportional to what the delta
+changes: forwarding tables and transfer rules are re-derived only when
+topology structure, steering or failure scenario changed (a config
+push keeps them), and then three nested shortcuts apply:
 
 1. **impact filtering** — checks whose slices the delta provably cannot
    affect carry their verdict forward without any work at all;
-2. **the warm fingerprint cache** — invalidated checks whose re-built
-   slice is structurally identical (up to node renaming) to anything
-   verified in *any* earlier version reuse that verdict;
+2. **symmetry and the warm fingerprint cache** — invalidated checks
+   whose re-built slice is structurally identical (up to node renaming)
+   to a carried check's, or to anything verified in *any* earlier
+   version, reuse that verdict;
 3. **the parallel engine** — the checks that truly need the solver go
    through :func:`repro.core.engine.execute_jobs`, so they run across
    worker processes like any batch.
@@ -33,6 +36,7 @@ would produce (property-tested in
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -50,7 +54,12 @@ from ..network.failures import NO_FAILURE, FailureScenario
 from ..network.topology import Topology
 from ..network.transfer import SteeringPolicy
 from .delta import NetworkDelta
-from .impact import ChangeImpactIndex, ChangeSummary, shared_state_boxes
+from .impact import (
+    ChangeImpactIndex,
+    ChangeSummary,
+    middlebox_models,
+    shared_state_boxes,
+)
 
 __all__ = ["TrackedCheck", "CheckOutcome", "DeltaReport", "IncrementalSession"]
 
@@ -78,6 +87,9 @@ class CheckOutcome:
     check: TrackedCheck
     result: CheckResult
     carried: bool  # verdict carried forward by the impact index
+    #: Fingerprint of the problem ``result`` answers; a carried outcome
+    #: is unchanged on the current version, so it still is that.
+    fingerprint: Optional[str] = None
 
     @property
     def status(self) -> str:
@@ -164,7 +176,15 @@ class DeltaReport:
 
 
 class IncrementalSession:
-    """Keep an invariant set continuously verified under network churn."""
+    """Keep an invariant set continuously verified under network churn.
+
+    ``use_cache=False`` turns off the cross-version
+    :class:`~repro.core.engine.ResultCache` only: every invalidated
+    check whose problem no *current* verdict answers goes to the
+    solver, even if an earlier version solved it.  Impact filtering
+    and symmetry inside the tracked set are always on — an isomorphic
+    check in the same batch was always answered once, and one that is
+    carried answers it the same way."""
 
     def __init__(
         self,
@@ -274,7 +294,24 @@ class IncrementalSession:
     # ------------------------------------------------------------------
     # Verification plumbing
     # ------------------------------------------------------------------
-    def _build_vmn(self) -> VMN:
+    def _build_vmn(self, previous: Optional[VMN] = None) -> VMN:
+        """The facade of the current version.  Forwarding tables and
+        transfer rules are a function of topology structure, steering
+        and failure scenario only, so ``previous``'s are carried over
+        while none of the three has changed."""
+        kwargs = dict(self.vmn_kwargs)
+        if (
+            previous is not None
+            and previous.topology is self.topology
+            and previous.revision == self.topology.revision
+            and previous.steering == self.steering
+            and previous.scenario == self.scenario
+        ):
+            kwargs.update(tables=previous.tables, rules=previous.rules)
+            get_registry().counter(
+                "repro_session_datapath_reused_total",
+                "session versions that kept the previous collapsed datapath",
+            ).inc()
         return VMN(
             self.topology,
             self.steering,
@@ -282,7 +319,7 @@ class IncrementalSession:
             cache=self.cache,
             solver_pool=self.solver_pool,
             use_warm=self.solver_pool is not None,
-            **self.vmn_kwargs,
+            **kwargs,
         )
 
     def _verify_keys(self, keys: Sequence[int]) -> None:
@@ -297,8 +334,21 @@ class IncrementalSession:
         fingerprint cache still comes first — a verdict the session has
         already proven on a structurally identical version costs
         nothing at all."""
+        # Invalidate first: if anything below dies (worker death,
+        # interrupt) these checks are unknown, and the next delta
+        # re-verifies them — never the previous version's verdict.
+        for key in keys:
+            self.index.forget(key)
+            self._outcomes.pop(key, None)
+        # What is left is carried and valid on this version: checks
+        # isomorphic to one of those take its verdict (symmetry, §4.2).
+        known = {
+            o.fingerprint: o.result
+            for o in self._outcomes.values()
+            if o.fingerprint is not None
+        }
         jobs = []
-        job_keys = []
+        pending = []  # (key, slice) per job
         for key in keys:
             inv = self._checks[key].invariant
             sl = None
@@ -307,31 +357,26 @@ class IncrementalSession:
                     sl = self.vmn.slice_for(inv)
                 except SliceClosureError:
                     sl = None
-            self.index.record(key, sl)
             job = self.vmn.job_for(inv, index=len(jobs),
                                    with_fingerprint=True,
                                    prove=self.prove,
                                    **self.bmc_kwargs)
-            cache_hit = (
-                self.cache is not None
-                and job.fingerprint is not None
-                and self.cache.contains(job.fingerprint)
+            cache_hit = job.fingerprint is not None and (
+                job.fingerprint in known
+                or (self.cache is not None
+                    and self.cache.contains(job.fingerprint))
             )
             if not cache_hit:
                 reused = self._reuse_certificate(key, inv, job=job)
                 if reused is not None:
-                    self._outcomes[key] = CheckOutcome(
-                        check=self._checks[key], result=reused, carried=False
-                    )
+                    self._land(key, sl, reused, job.fingerprint)
                     continue
             jobs.append(job)
-            job_keys.append(key)
+            pending.append((key, sl))
         results = execute_jobs(jobs, workers=self.jobs or 1, cache=self.cache,
-                               solver_pool=self.solver_pool)
-        for key, result in zip(job_keys, results):
-            self._outcomes[key] = CheckOutcome(
-                check=self._checks[key], result=result, carried=False
-            )
+                               solver_pool=self.solver_pool, known=known)
+        for (key, sl), job, result in zip(pending, jobs, results):
+            self._land(key, sl, result, job.fingerprint)
             if self.prove:
                 cert = result.stats.get("certificate")
                 if result.status == HOLDS and cert is not None:
@@ -347,6 +392,15 @@ class IncrementalSession:
             outcome = self._outcomes.get(key)
             if outcome is not None:
                 self._record_history(self._checks[key], outcome.result)
+
+    def _land(self, key: int, sl, result: CheckResult,
+              fingerprint: Optional[str]) -> None:
+        """Record a fresh verdict with the slice it was established on."""
+        self.index.record(key, sl)
+        self._outcomes[key] = CheckOutcome(
+            check=self._checks[key], result=result, carried=False,
+            fingerprint=fingerprint,
+        )
 
     def _record_history(self, check: TrackedCheck, result: CheckResult) -> None:
         """Drift detection + persistent verdict timeline for one
@@ -421,8 +475,6 @@ class IncrementalSession:
         imports the verification layers."""
         if not provenance.enabled():
             return
-        import dataclasses
-
         from ..provenance.blame import certificate_blame
 
         for check in self.checks:
@@ -525,10 +577,10 @@ class IncrementalSession:
         outcomes = []
         for key in sorted(self._outcomes):
             prev = self._outcomes[key]
-            outcome = CheckOutcome(
-                check=prev.check, result=prev.result,
-                carried=key not in verified_set,
-            ) if key not in verified_set else prev
+            outcome = (
+                prev if key in verified_set or prev.carried
+                else dataclasses.replace(prev, carried=True)
+            )
             self._outcomes[key] = outcome
             outcomes.append(outcome)
         report = DeltaReport(
@@ -621,10 +673,10 @@ class IncrementalSession:
         # Snapshot before the in-place mutation: both VMNs alias the
         # topology, so this is the only way to see the old box set.
         old_shared = shared_state_boxes(self.topology)
+        old_models = middlebox_models(self.topology, delta.reconfigured_nodes())
         self.steering, inverse = delta.apply(self.topology, self.steering)
         self.version += 1
-        self.vmn = self._build_vmn()
-        change = ChangeSummary.between(old_vmn, self.vmn, delta, old_shared)
+        self.vmn = self._build_vmn(previous=old_vmn)
 
         # Checks whose invariants mention nodes that no longer exist
         # cannot be verified (or hold vacuously); they retire.
@@ -645,9 +697,13 @@ class IncrementalSession:
         if record:
             self._history.append((inverse, added_keys, retired))
 
-        invalidated = self.index.invalidated(
-            change, [k for k in sorted(self._checks) if k not in added_keys]
-        )
+        with get_tracer().span("impact", cat="incremental") as span:
+            change = ChangeSummary.between(
+                old_vmn, self.vmn, delta, old_shared, old_models)
+            invalidated = self.index.invalidated(
+                change, [k for k in sorted(self._checks) if k not in added_keys]
+            )
+            span.tag(invalidated=len(invalidated))
         self._verify_keys(invalidated + added_keys)
         return self._report(delta.describe(), invalidated + added_keys,
                             retired, len(added_keys),

@@ -29,21 +29,37 @@ class ForwardingEntry:
     dsts: Optional[FrozenSet[str]]
     next_hop: str
 
-    def matches(self, dst: str) -> bool:
-        return self.dsts is None or dst in self.dsts
-
 
 class ForwardingState:
-    """The forwarding tables of every switch under one failure scenario."""
+    """The forwarding tables of every switch under one failure scenario.
+
+    Lookups go through a per-switch ``dst -> next hop`` index, built on
+    first use and dropped whenever its table is patched or replaced, so
+    it answers what a first-match scan of the table would."""
 
     def __init__(self, tables: Dict[str, List[ForwardingEntry]]):
         self.tables = tables
+        #: switch -> (table indexed, its length then, dst -> hop, default hop)
+        self._index: Dict[str, tuple] = {}
 
     def next_hop(self, switch: str, dst: str) -> Optional[str]:
-        for entry in self.tables.get(switch, ()):
-            if entry.matches(dst):
-                return entry.next_hop
-        return None
+        table = self.tables.get(switch)
+        if table is None:
+            return None
+        index = self._index.get(switch)
+        # ``tables`` is public: never answer from the index of a table
+        # that was swapped or resized behind our back.
+        if index is None or index[0] is not table or index[1] != len(table):
+            hops: Dict[str, str] = {}
+            default = None
+            for entry in table:  # first match wins
+                if entry.dsts is None:
+                    default = entry.next_hop
+                    break  # nothing after a default route is reachable
+                for known in entry.dsts:
+                    hops.setdefault(known, entry.next_hop)
+            index = self._index[switch] = (table, len(table), hops, default)
+        return index[2].get(dst, index[3])
 
     # ------------------------------------------------------------------
     # Patching — how scenarios pin paths and inject misconfigurations.
@@ -54,6 +70,7 @@ class ForwardingState:
             None if dsts is None else frozenset(dsts), next_hop
         )
         self.tables.setdefault(switch, []).insert(0, entry)
+        self._index.pop(switch, None)
 
     def remove_entries_to(self, switch: str, next_hop: str) -> int:
         """Delete all entries at ``switch`` pointing to ``next_hop``.
@@ -62,6 +79,7 @@ class ForwardingState:
         kept = [e for e in table if e.next_hop != next_hop]
         removed = len(table) - len(kept)
         self.tables[switch] = kept
+        self._index.pop(switch, None)
         return removed
 
     def copy(self) -> "ForwardingState":

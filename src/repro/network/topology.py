@@ -38,11 +38,17 @@ class Topology:
     :func:`repro.network.forwarding.shortest_path_tables` follows that
     order, so two topologies built by the same sequence of calls route
     identically.
+
+    :attr:`revision` counts the edits that can move a packet's path:
+    every mutator of nodes, kinds, links or policy groups bumps it,
+    :meth:`replace_middlebox` (a config push) does not — so one
+    topology object at one revision has one set of forwarding tables.
     """
 
     def __init__(self):
         self._nodes: Dict[str, Node] = {}
         self._adj: Dict[str, Dict[str, None]] = {}
+        self.revision = 0
 
     # ------------------------------------------------------------------
     def _add(self, node: Node) -> Node:
@@ -50,6 +56,7 @@ class Topology:
             raise ValueError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
         self._adj[node.name] = {}
+        self.revision += 1
         return node
 
     def add_host(self, name: str, policy_group: Optional[str] = None) -> Node:
@@ -70,6 +77,7 @@ class Topology:
             raise ValueError("self-links are not allowed")
         self._adj[a][b] = None
         self._adj[b][a] = None
+        self.revision += 1
 
     # ------------------------------------------------------------------
     # Mutation API (incremental verification applies NetworkDeltas here)
@@ -81,6 +89,7 @@ class Topology:
         node = self._nodes.pop(name)
         for neighbor in self._adj.pop(name):
             del self._adj[neighbor][name]
+        self.revision += 1
         return node
 
     def remove_link(self, a: str, b: str) -> None:
@@ -88,14 +97,15 @@ class Topology:
             raise KeyError(f"no link between {a!r} and {b!r}")
         del self._adj[a][b]
         del self._adj[b][a]
+        self.revision += 1
 
     def has_link(self, a: str, b: str) -> bool:
         return b in self._adj.get(a, ())
 
     def replace_middlebox(self, model) -> object:
         """Swap the model of the middlebox named ``model.name``; links
-        and position are unchanged.  Returns the previous model (so the
-        caller can build the inverse edit)."""
+        and position (and :attr:`revision`) are unchanged.  Returns the
+        previous model (so the caller can build the inverse edit)."""
         node = self._nodes.get(model.name)
         if node is None or node.kind != MIDDLEBOX:
             raise KeyError(f"no middlebox named {model.name!r}")

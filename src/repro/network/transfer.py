@@ -152,6 +152,9 @@ def compute_transfer_rules(
     # addresses, VIPs): traffic addressed *to* them is steered directly.
     destinations += [n.name for n in topology.middleboxes if scenario.node_ok(n.name)]
 
+    # A walk depends on (ingress, stage) only, and steering sends most
+    # destinations through the same few stages: walk each pair once.
+    walks: Dict[Tuple[str, str], List[str]] = {}
     # raw[(dst, to)] = set of ingress nodes delivered from.
     raw: Dict[Tuple[str, str], set] = {}
     for dst in destinations:
@@ -161,7 +164,11 @@ def compute_transfer_rules(
             stage = steering.next_stage(src, dst)
             if stage is None or not scenario.node_ok(stage):
                 continue  # chain stage dead and no backup: dropped
-            for hit in walk(topology, state, src, stage, scenario):
+            hits = walks.get((src, stage))
+            if hits is None:
+                hits = walks[src, stage] = walk(
+                    topology, state, src, stage, scenario)
+            for hit in hits:
                 raw.setdefault((dst, hit), set()).add(src)
 
     # Compaction pass (VeriFlow-style equivalence classes): merge

@@ -239,6 +239,27 @@ class TestExecuteJobs:
         assert results[0].invariant is jobs[0].invariant
         assert results[1].invariant is jobs[1].invariant
 
+    def test_known_verdicts_lead_isomorphic_jobs(self, enterprise):
+        """A verdict the caller still holds for a check outside the
+        batch answers an isomorphic job — with no cache at all — and a
+        non-isomorphic job beside it still runs."""
+        topo, steering = enterprise(4)
+        vmn = VMN(topo, steering, use_cache=False)
+        held = vmn.job_for(NodeIsolation("h1_0", "internet"),
+                           with_fingerprint=True)
+        known = {held.fingerprint: held.run()}
+        jobs = [
+            vmn.job_for(NodeIsolation("h3_0", "internet"), index=0,
+                        with_fingerprint=True),
+            vmn.job_for(CanReach("internet", "h0_0"), index=1,
+                        with_fingerprint=True),
+        ]
+        assert jobs[0].fingerprint == held.fingerprint
+        results = execute_jobs(jobs, workers=1, known=known)
+        assert [r.status for r in results] == ["holds", "violated"]
+        assert results[0].cache_hit and not results[1].cache_hit
+        assert results[0].invariant is jobs[0].invariant
+
     def test_pool_results_keep_job_order(self, enterprise):
         topo, steering = enterprise(2)
         vmn = VMN(topo, steering, use_cache=False)

@@ -6,6 +6,7 @@ from repro.incremental import (
     AddHost,
     AddMiddlebox,
     DeltaError,
+    DeltaSequence,
     EditPolicyRules,
     LinkDown,
     LinkUp,
@@ -150,3 +151,42 @@ class TestTouchedNodes:
 
         delta = AddMiddlebox(Linked("lb", acl=()), links=("sw",))
         assert delta.touched_nodes() == {"lb", "sw", "backend"}
+
+
+class TestReconfiguredNodes:
+    """Which touched nodes a delta only pushes a configuration to (the
+    impact index projects those; everything else is conservative)."""
+
+    def test_structural_deltas_reconfigure_nothing(self):
+        for delta in (
+            AddHost("c", links=("sw",)),
+            RemoveHost("a"),
+            AddMiddlebox(AclFirewall("fw9", acl=()), links=("sw",)),
+            RemoveMiddlebox("fw"),
+            SetChain("a", ("fw",)),
+            LinkDown("a", "sw"),
+            LinkUp("a", "sw"),
+        ):
+            assert delta.reconfigured_nodes() == frozenset(), delta
+
+    def test_config_pushes_name_their_box(self):
+        assert EditPolicyRules("fw", add=(("a", "b"),)).reconfigured_nodes() == {"fw"}
+
+        class Linked(AclFirewall):
+            def linked_nodes(self):
+                return ("backend",)
+
+        delta = ReplaceMiddlebox(Linked("fw", acl=()))
+        assert delta.touched_nodes() == {"fw", "backend"}
+        assert delta.reconfigured_nodes() == {"fw"}
+
+    def test_sequence_drops_boxes_touched_for_any_other_reason(self):
+        push = EditPolicyRules("fw", add=(("a", "b"),))
+        assert DeltaSequence((push, push)).reconfigured_nodes() == {"fw"}
+        for other in (LinkDown("fw", "sw"), SetChain("fw", ("fw2",)),
+                      RemoveMiddlebox("fw")):
+            assert DeltaSequence((push, other)).reconfigured_nodes() == frozenset()
+            assert DeltaSequence((other, push)).reconfigured_nodes() == frozenset()
+        # A box of its own, edited beside a structural change elsewhere.
+        mixed = DeltaSequence((push, LinkDown("a", "sw")))
+        assert mixed.reconfigured_nodes() == {"fw"}

@@ -1,8 +1,19 @@
 """Change-impact index semantics (pure set arithmetic, no solver)."""
 
+from types import SimpleNamespace
+
 from repro.core.slicing import Slice
-from repro.incremental import ChangeImpactIndex, ChangeSummary, ImpactEntry
+from repro.incremental import (
+    ChangeImpactIndex,
+    ChangeSummary,
+    EditPolicyRules,
+    ImpactEntry,
+    ReplaceMiddlebox,
+)
+from repro.incremental.impact import middlebox_models, shared_state_boxes
+from repro.mboxes import AclFirewall, ContentCache, LearningFirewall
 from repro.netmodel import HeaderMatch, TransferRule, VerificationNetwork
+from repro.network import Topology
 
 
 def rule(dst, to, frm=None):
@@ -13,14 +24,20 @@ def entry(nodes, reps=False):
     return ImpactEntry(nodes=frozenset(nodes), used_representatives=reps)
 
 
-def summary(touched=(), old=(), new=(), reps=False, shared=False):
+def summary(touched=(), old=(), new=(), reps=False, shared=False,
+            reconfigured=None):
     return ChangeSummary(
         touched=frozenset(touched),
         old_rules=tuple(old),
         new_rules=tuple(new),
         representatives_changed=reps,
         shared_boxes_changed=shared,
+        reconfigured=reconfigured or {},
     )
+
+
+def firewall(*deny):
+    return LearningFirewall("fw", deny=deny, default_allow=True)
 
 
 class TestAffects:
@@ -66,6 +83,125 @@ class TestAffects:
         old = [rule({"a"}, "fw", {"b"})]
         new = [rule({"a"}, "outsider", {"b"})]  # delivers outside the slice
         change = summary(touched={"x"}, old=old, new=new)
+        assert change.affects(entry({"a", "b", "fw"}))
+
+
+class TestProjectedConfigs:
+    """A reconfigured box invalidates a slice only when its config
+    *restricted to the slice* changed."""
+
+    def test_rule_about_outside_addresses_is_invisible(self):
+        change = summary(reconfigured={
+            "fw": (firewall(("a", "b")), firewall(("a", "b"), ("x", "a")))})
+        assert not change.affects(entry({"a", "b", "fw"}))
+        assert change.affects(entry({"a", "x", "fw"}))
+
+    def test_slices_without_the_box_are_untouched(self):
+        change = summary(reconfigured={
+            "fw": (firewall(("a", "b")), firewall())})
+        assert not change.affects(entry({"a", "b"}))
+        assert change.affects(entry({"a", "b", "fw"}))
+
+    def test_rule_projection_still_applies(self):
+        same = firewall(("a", "b"))
+        change = summary(
+            reconfigured={"fw": (same, same)},
+            old=[rule({"a"}, "fw", {"b"})], new=[rule({"a"}, "fw", {"b", "c"})],
+        )
+        assert change.affects(entry({"a", "b", "c", "fw"}))
+
+    def test_unfingerprintable_model_invalidates(self):
+        class Opaque(LearningFirewall):
+            def restricted(self, addresses):
+                model = Opaque(self.name, deny=self.deny, default_allow=True)
+                model.hook = lambda: None  # canon cannot serialise this
+                return model
+
+        old = Opaque("fw", deny=[("a", "b")], default_allow=True)
+        change = summary(reconfigured={"fw": (old, old)})
+        assert change.affects(entry({"a", "fw"}))
+
+
+class TestBetween:
+    """Which touched boxes ``between`` projects, and which fall back to
+    the conservative rule."""
+
+    def network(self, model):
+        topo = Topology()
+        topo.add_switch("sw")
+        for host in ("a", "b", "x"):
+            topo.add_host(host)
+            topo.add_link(host, "sw")
+        topo.add_middlebox(model)
+        topo.add_link(model.name, "sw")
+        return topo
+
+    def facade(self, topo):
+        """What ``between`` reads off a VMN, rules and classes held equal."""
+        return SimpleNamespace(
+            topology=topo, rules=(),
+            policy_classes=SimpleNamespace(representatives=lambda: []),
+        )
+
+    def change(self, topo, delta):
+        """Apply ``delta`` the way a session does: snapshot, mutate,
+        summarise."""
+        vmn = self.facade(topo)
+        old_shared = shared_state_boxes(topo)
+        old_models = middlebox_models(topo, delta.reconfigured_nodes())
+        delta.apply(topo, None)
+        return ChangeSummary.between(vmn, vmn, delta, old_shared, old_models)
+
+    def test_rule_edit_is_projected(self):
+        topo = self.network(firewall(("a", "b")))
+        change = self.change(topo, EditPolicyRules("fw", add=(("x", "a"),)))
+        assert change.touched == frozenset()
+        assert set(change.reconfigured) == {"fw"}
+        assert not change.affects(entry({"a", "b", "fw"}))
+        assert change.affects(entry({"a", "x", "fw"}))
+
+    def test_same_class_replacement_is_projected(self):
+        topo = self.network(firewall(("a", "b")))
+        change = self.change(topo, ReplaceMiddlebox(firewall(("a", "b"), ("x", "b"))))
+        assert not change.affects(entry({"a", "b", "fw"}))
+        assert change.affects(entry({"b", "x", "fw"}))
+
+    def test_retyped_box_falls_back(self):
+        topo = self.network(firewall(("a", "b")))
+        change = self.change(topo, ReplaceMiddlebox(AclFirewall("fw", acl=[("a", "b")])))
+        assert change.reconfigured == {}
+        assert change.touched == {"fw"}
+        assert change.affects(entry({"a", "b", "fw"}))
+
+    def test_relinked_box_falls_back(self):
+        class Linked(LearningFirewall):
+            def __init__(self, name, backend):
+                super().__init__(name, deny=[("a", "b")], default_allow=True)
+                self.backend = backend
+
+            def linked_nodes(self):
+                return (self.backend,)
+
+        topo = self.network(Linked("fw", backend="x"))
+        change = self.change(topo, ReplaceMiddlebox(Linked("fw", backend="b")))
+        assert change.reconfigured == {}
+        assert change.touched == {"fw", "b"}
+
+    def test_state_sharing_flag_change_falls_back(self):
+        topo = self.network(ContentCache("fw", deny=[]))
+        new = ContentCache("fw", deny=[("a", "b")])
+        new.origin_agnostic = False
+        change = self.change(topo, ReplaceMiddlebox(new))
+        assert change.reconfigured == {}
+        assert change.affects(entry({"a", "fw"}))
+
+    def test_without_a_snapshot_everything_is_conservative(self):
+        topo = self.network(firewall(("a", "b")))
+        delta = EditPolicyRules("fw", add=(("x", "a"),))
+        vmn = self.facade(topo)
+        delta.apply(topo, None)
+        change = ChangeSummary.between(vmn, vmn, delta, shared_state_boxes(topo))
+        assert change.touched == {"fw"}
         assert change.affects(entry({"a", "b", "fw"}))
 
 

@@ -141,3 +141,39 @@ class TestLifecycle:
         assert session.version == version
         assert len(session.reports) == reports
         assert full.statuses() == session.reports[-1].statuses()
+
+
+class TestFailedReverification:
+    def test_interrupted_apply_never_reports_the_old_verdict_as_carried(
+            self, monkeypatch):
+        """A delta whose re-verification dies (worker death, interrupt)
+        must leave the affected checks *unknown*, not silently holding
+        the previous version's verdict.  Regression: the impact index
+        recorded the new slice before any verdict existed, so the next
+        unrelated delta reported "quarantine in/out quar2_0: holds
+        (carried)" on a network where both are violated."""
+        import pytest
+
+        from repro.incremental import session as session_module
+
+        session = fresh_session()
+
+        def dying_execute_jobs(*args, **kwargs):
+            raise RuntimeError("worker died")
+
+        pairs = (("internet", "quar2_0"), ("quar2_0", "internet"))
+        with monkeypatch.context() as patch:
+            patch.setattr(session_module, "execute_jobs", dying_execute_jobs)
+            with pytest.raises(RuntimeError):
+                session.apply(EditPolicyRules("fw", remove=pairs))
+        # The failed version has no verdict for what it was re-verifying.
+        unknown = {c.label for c in session.checks} - {
+            o.check.label for o in session.outcomes}
+        assert unknown == {"quarantine in quar2_0", "quarantine out quar2_0"}
+
+        report = session.apply(LinkDown("subnet0", "backbone"))
+        assert report.statuses() == session.audit_from_scratch().statuses()
+        assert report.statuses()["quarantine in quar2_0"] == VIOLATED
+        assert report.statuses()["quarantine out quar2_0"] == VIOLATED
+        recovered = {o.check.label for o in report if not o.carried}
+        assert unknown <= recovered

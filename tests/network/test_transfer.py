@@ -53,6 +53,37 @@ class TestTopology:
         with pytest.raises(KeyError):
             topo.add_link("a", "nope")
 
+    def test_revision_counts_structure_edits_only(self):
+        """Every mutator that can move a path bumps ``revision``; a
+        config push (and a rejected edit) leaves it alone."""
+        topo, _ = line_topology()
+        seen = [topo.revision]
+
+        def bumped():
+            seen.append(topo.revision)
+            return seen[-1] > seen[-2]
+
+        topo.add_host("h3", policy_group="g")
+        assert bumped()
+        topo.add_switch("s3")
+        assert bumped()
+        topo.add_middlebox(AclFirewall("fw2", acl=()))
+        assert bumped()
+        topo.add_link("h3", "s3")
+        assert bumped()
+        topo.remove_link("h3", "s3")
+        assert bumped()
+        topo.remove_node("h3")
+        assert bumped()
+
+        settled = topo.revision
+        topo.replace_middlebox(LearningFirewall("fw", allow=[("h2", "h1")]))
+        with pytest.raises(ValueError):
+            topo.add_switch("s1")
+        with pytest.raises(KeyError):
+            topo.remove_link("h1", "h2")
+        assert topo.revision == settled
+
     def test_policy_groups(self):
         topo = Topology()
         topo.add_host("a", policy_group="g1")

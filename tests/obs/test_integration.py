@@ -7,7 +7,7 @@ import json
 from repro import obs
 from repro.cli import main
 from repro.core.engine import execute_jobs
-from repro.incremental import IncrementalSession
+from repro.incremental import EditPolicyRules, IncrementalSession, LinkDown
 from repro.scenarios import enterprise, enterprise_firewall_churn
 
 
@@ -126,6 +126,37 @@ class TestSessionAttribution:
         session_keys = {k for r in reports for k in r.metrics
                         if k.startswith("repro_session_")}
         assert "repro_session_version" in session_keys
+
+    def test_collapse_is_a_span_and_its_reuse_a_metric(self):
+        """What a delta re-derives shows in the trace and the report:
+        ``impact``, ``collapse`` (tagged reused) and ``policy-classes``
+        are child spans of ``apply-delta``; a config push counts one
+        reused datapath, a link flap none."""
+        bundle = _audit_bundle()
+        with obs.observe() as (tracer, _):
+            session = IncrementalSession.from_bundle(bundle)
+            session.baseline()
+            pushed = session.apply(
+                EditPolicyRules("fw", add=(("badguy", "priv1_0"),)))
+            flapped = session.apply(LinkDown("subnet1", "backbone"))
+        assert pushed.metrics["repro_session_datapath_reused_total"] == 1
+        assert "repro_session_datapath_reused_total" not in flapped.metrics
+
+        records = tracer.records()
+        deltas = [r for r in records if r["name"] == "apply-delta"]
+        assert len(deltas) == 2
+        for delta, reused in zip(deltas, (True, False)):
+            children = {r["name"]: r for r in records
+                        if r["parent"] == delta["id"]}
+            assert {"impact", "collapse", "policy-classes"} <= set(children)
+            assert children["collapse"]["args"]["reused"] is reused
+        # A cold facade (the session's first) collapses under whatever
+        # span is open — here none — with the same two names.
+        cold = [r for r in records
+                if r["name"] in ("collapse", "policy-classes")
+                and r["parent"] is None]
+        assert [r["name"] for r in cold] == ["collapse", "policy-classes"]
+        assert cold[0]["args"]["reused"] is False
 
     def test_disabled_session_reports_empty_metrics(self):
         bundle = _audit_bundle()
