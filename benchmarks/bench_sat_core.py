@@ -41,10 +41,11 @@ import sys
 from contextlib import contextmanager
 
 import _sat_reference
+from helpers import warm_deepening
 
 import repro.smt.solver as solver_mod
 from repro.core.engine import resolve_bmc_params
-from repro.netmodel.bmc import VIOLATED, SolverPool, check
+from repro.netmodel.bmc import SolverPool
 from repro.scenarios import datacenter, enterprise
 from repro.scenarios.faults import isp_chain_bypass, multitenant_sg_hole
 from repro.smt.sat import SatSolver as ArenaSolver
@@ -99,22 +100,15 @@ def _run_checks(bundle, max_checks: int):
     for item in checks:
         net, _ = vmn.network_for(item.invariant)
         params = resolve_bmc_params(net, item.invariant, {})
-        kwargs = {
-            key: params[key]
-            for key in ("n_packets", "failure_budget", "n_ports", "n_tags")
-        }
-        result = check(
-            net, item.invariant, deepen=True, warm=pool,
-            canonical_trace=True, **kwargs,
+        status, depth, trace, took = warm_deepening(
+            pool, net, item.invariant, params, canonical_trace=True
         )
-        seconds += result.solve_seconds
-        depth = result.depth if result.status == VIOLATED else params["depth"]
-        trace = str(result.trace) if result.trace is not None else ""
+        seconds += took
         rows.append({
             "label": item.label,
-            "status": result.status,
+            "status": status,
             "depth": depth,
-            "trace": trace,
+            "trace": str(trace) if trace is not None else "",
         })
     return rows, seconds
 

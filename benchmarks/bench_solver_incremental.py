@@ -26,6 +26,8 @@ import argparse
 import json
 import sys
 
+from helpers import warm_deepening
+
 from repro.core.engine import resolve_bmc_params
 from repro.netmodel.bmc import VIOLATED, SolverPool, check
 from repro.scenarios import datacenter, enterprise
@@ -64,13 +66,8 @@ def _cold_deepening(net, invariant, params):
 
 def _warm_deepening(net, invariant, params, pool):
     """The incremental path: one warm solver, never re-encode a prefix."""
-    kwargs = {
-        key: params[key]
-        for key in ("n_packets", "failure_budget", "n_ports", "n_tags")
-    }
-    result = check(net, invariant, deepen=True, warm=pool, **kwargs)
-    found = result.depth if result.status == VIOLATED else params["depth"]
-    return result.status, found, result.solve_seconds
+    status, found, _, seconds = warm_deepening(pool, net, invariant, params)
+    return status, found, seconds
 
 
 def run_scenario(name: str, size: int, max_checks: int, verbose: bool) -> dict:

@@ -25,7 +25,14 @@ from contextlib import contextmanager
 
 from repro import obs
 from repro.core import VMN
-from repro.netmodel.bmc import default_depth
+from repro.netmodel.bmc import (
+    HOLDS,
+    VIOLATED,
+    IncrementalBMC,
+    default_depth,
+    encoding_key,
+)
+from repro.smt import SAT
 
 
 def run_once(benchmark, fn):
@@ -132,6 +139,37 @@ def timed_verify_all(
                     n_invariants=len(invariants)) as timer:
         report = vmn.verify_all(invariants, jobs=jobs)
     return report, timer.seconds
+
+
+def warm_deepening(pool, net, invariant, params, canonical_trace=False):
+    """Walk depths ``1..params["depth"]`` on the pool's warm driver for
+    this encoding, stopping at the first violation.
+
+    Returns ``(status, depth, trace, seconds)``: the violating depth
+    and its (optionally canonical) trace, or the full depth and
+    ``None``; seconds include building the driver when the pool had
+    none.
+    """
+    kwargs = {
+        key: params[key]
+        for key in ("n_packets", "failure_budget", "n_ports", "n_tags")
+    }
+    depth = params["depth"]
+    started = time.perf_counter()
+    driver, _ = pool.lease(
+        encoding_key(net, kwargs), depth,
+        lambda: IncrementalBMC(net, depth=depth, **kwargs),
+    )
+    status, trace = HOLDS, None
+    for k in range(1, depth + 1):
+        if driver.check_at(invariant, k) == SAT:
+            status, depth = VIOLATED, k
+            trace = (
+                driver.canonical_trace(invariant, k, presolved=True)
+                if canonical_trace else driver.decode()
+            )
+            break
+    return status, depth, trace, time.perf_counter() - started
 
 
 def slice_depth(vmn: VMN, invariant) -> int:

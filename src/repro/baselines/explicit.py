@@ -48,7 +48,7 @@ from ..mboxes import (
 from ..netmodel.packets import REQUEST_TAG
 from ..netmodel.system import VerificationNetwork
 
-__all__ = ["ConcretePacket", "FixpointChecker"]
+__all__ = ["ConcretePacket", "FixpointChecker", "explicit_verdict"]
 
 
 @dataclass(frozen=True)
@@ -360,3 +360,52 @@ class FixpointChecker:
             if any((e, p) in sent for e in emitters):
                 return True
         return False
+
+
+def explicit_verdict(net: VerificationNetwork, invariant, n_ports: int) -> Optional[bool]:
+    """The fixpoint's verdict on a :mod:`repro.core.invariants`
+    invariant, over both constant oracles: True = violated, False =
+    holds, None = not decidable explicitly."""
+    # Imported here: repro.core imports this module (core/prove.py).
+    from ..core.invariants import (
+        CanReach,
+        DataIsolation,
+        FlowIsolation,
+        NodeIsolation,
+        Traversal,
+    )
+
+    if invariant.failure_budget:
+        return None
+    try:
+        checkers = [
+            FixpointChecker(net, n_ports=n_ports, oracle_value=v)
+            for v in (False, True)
+        ]
+    except NotImplementedError:
+        return None
+
+    def any_violated(call) -> bool:
+        return any(call(fx) for fx in checkers)
+
+    if isinstance(invariant, NodeIsolation):
+        return any_violated(
+            lambda fx: fx.node_isolation_violated(invariant.dst, invariant.src)
+        )
+    if isinstance(invariant, CanReach):
+        return any_violated(lambda fx: fx.can_reach(invariant.dst, invariant.src))
+    if isinstance(invariant, FlowIsolation):
+        return any_violated(
+            lambda fx: fx.flow_isolation_violated(invariant.dst, invariant.src)
+        )
+    if isinstance(invariant, Traversal):
+        return any_violated(
+            lambda fx: fx.traversal_violated(
+                invariant.dst, invariant.through, invariant.from_sources
+            )
+        )
+    if isinstance(invariant, DataIsolation):
+        return any_violated(
+            lambda fx: fx.data_isolation_violated(invariant.dst, invariant.origin)
+        )
+    return None

@@ -34,14 +34,15 @@ clauses.
 ``check`` returns :data:`VIOLATED` with a decoded counterexample trace,
 :data:`HOLDS` when the formula is unsatisfiable at the chosen depth, or
 :data:`UNKNOWN` when a conflict budget was exhausted (mirroring the
-paper's reliance on Z3 timeouts, §3.1).  With ``deepen=True`` the
-driver walks depths ``1..depth`` on the warm solver and stops at the
-first violation; verdicts per depth equal what a from-scratch solve at
-that depth concludes.  ``canonical_trace=True`` replaces the raw model
-decode with the lexicographically-least violating schedule (computed by
-bitwise minimization under scoped pins), which is identical no matter which
-solver state produced the verdict — that is what lets the equivalence
-tests demand byte-identical traces from the warm and cold paths.
+paper's reliance on Z3 timeouts, §3.1).  A caller that wants the
+shallowest violation walks :meth:`IncrementalBMC.check_at` over depths
+``1..depth`` on the warm solver; verdicts per depth equal what a
+from-scratch solve at that depth concludes.  ``canonical_trace=True``
+replaces the raw model decode with the lexicographically-least
+violating schedule (computed by bitwise minimization under guarded
+pins), which is identical no matter which solver state produced the
+verdict — that is what lets the equivalence tests demand
+byte-identical traces from the warm and cold paths.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..obs import SOLVER_COUNTER_KEYS, get_registry, get_tracer
-from ..smt import SAT, UNSAT, Not, Term
+from ..smt import SAT, UNSAT, Term
 from .canon import Unfingerprintable, canon
 from .events import EventKind
 from .system import VerificationNetwork
@@ -196,11 +197,15 @@ class IncrementalBMC(Unrolling):
         letting the minimization start from that model instead of
         re-solving it.
         """
-        base = self.assumptions_at(invariant, k)
         solver = self.solver
         if not presolved and self.check_at(invariant, k) != SAT:
             raise RuntimeError(f"no violation at depth {k} to canonicalize")
         model = solver.model()
+        # Pins are clauses under one guard, not assumptions: a query
+        # then costs the violation plus two literals, however long the
+        # schedule, and retiring the guard retracts them all.
+        guard = solver.new_literal()
+        base = [guard, *self.assumptions_at(invariant, k)]
 
         def pin(var: Term):
             # Value order is code order, so the least value is the least
@@ -209,17 +214,15 @@ class IncrementalBMC(Unrolling):
             # excluded by the sort's domain constraint).
             nonlocal model
             for bit in reversed(solver.bits_of(var)):
+                lit = solver.literal(bit)
                 if model[bit]:
-                    if solver.check(assumptions=base + [Not(bit)]) != SAT:
-                        solver.add(bit)
+                    if solver.check(assumptions=base + [-lit]) != SAT:
+                        solver.add_clause([lit, -guard])
                         continue
                     model = solver.model()
-                solver.add(Not(bit))
+                solver.add_clause([-lit, -guard])
             return model[var]
 
-        # Pins are asserted in a scope, not assumed: a query then costs
-        # the violation plus one literal, however long the schedule.
-        solver.push()
         try:
             sent: List[int] = []
             for t in range(k):
@@ -238,7 +241,8 @@ class IncrementalBMC(Unrolling):
             # ``model`` is the last sat answer and satisfies every pin.
             return decode_trace(model, self.model)
         finally:
-            solver.pop()
+            solver.add_clause([-guard])
+            solver.simplify()
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +336,6 @@ def check(
     max_conflicts: Optional[int] = None,
     n_ports: int = 6,
     n_tags: int = 4,
-    deepen: bool = False,
     warm: Optional[SolverPool] = None,
     warm_key: Optional[str] = None,
     canonical_trace: bool = False,
@@ -346,9 +349,7 @@ def check(
     ``warm`` names a :class:`SolverPool` to lease the solver from (the
     batch engine passes the per-VMN pool so checks sharing a slice
     share an encoding); ``warm_key`` skips recomputing the encoding
-    key.  ``deepen=True`` walks depths ``1..depth`` on the warm solver,
-    stopping at the first violation instead of solving the full
-    unrolling; ``canonical_trace=True`` canonicalizes the reported
+    key.  ``canonical_trace=True`` canonicalizes the reported
     counterexample (see :meth:`IncrementalBMC.canonical_trace`).
     """
     if n_packets is None:
@@ -397,29 +398,18 @@ def check(
 
         before = driver.counters()
         encode_before = driver.encode_seconds
-        schedule = list(range(1, depth + 1)) if deepen else [depth]
-        status = HOLDS
         trace: Optional[Trace] = None
-        found_depth = depth
-        remaining = max_conflicts
-        for k in schedule:
-            result = driver.check_at(invariant, k, max_conflicts=remaining)
-            if max_conflicts is not None:
-                used = driver.counters()["conflicts"] - before["conflicts"]
-                remaining = max(0, max_conflicts - used)
-            if result == SAT:
-                status = VIOLATED
-                found_depth = k
-                trace = (
-                    driver.canonical_trace(invariant, k, presolved=True)
-                    if canonical_trace
-                    else driver.decode()
-                )
-                break
-            if result != UNSAT:
-                status = UNKNOWN
-                break
-        span.tag(status=status, found_depth=found_depth, warm=was_warm)
+        result = driver.check_at(invariant, depth, max_conflicts=max_conflicts)
+        if result == SAT:
+            status = VIOLATED
+            trace = (
+                driver.canonical_trace(invariant, depth, presolved=True)
+                if canonical_trace
+                else driver.decode()
+            )
+        else:
+            status = HOLDS if result == UNSAT else UNKNOWN
+        span.tag(status=status, warm=was_warm)
     get_registry().counter(
         "repro_bmc_checks_total", "BMC invariant checks by status"
     ).inc(status=status, warm=str(was_warm).lower())
@@ -441,7 +431,7 @@ def check(
     return CheckResult(
         status=status,
         invariant=invariant,
-        depth=found_depth,
+        depth=depth,
         n_packets=n_packets,
         solve_seconds=elapsed,
         trace=trace,

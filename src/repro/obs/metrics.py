@@ -62,7 +62,7 @@ SOLVER_COUNTER_KEYS = (
 
 #: Non-monotone solver statistics (current sizes, not totals); the
 #: contract test uses this to classify every ``stats()`` key.
-SOLVER_GAUGE_KEYS = ("vars", "clauses", "learnts", "scopes")
+SOLVER_GAUGE_KEYS = ("vars", "clauses", "learnts")
 
 
 def solver_counter_snapshot(stats: dict) -> dict:

@@ -11,9 +11,8 @@ algorithm with the same observable behaviour.
 
 :class:`NativeSatSolver` mirrors the :class:`repro.smt.sat.SatSolver`
 public API exactly — ``new_var``/``add_clause``/``add_clauses``/
-``push``/``pop``/``solve``/``solve_with``/``value``/``core``/``stats``
-— keeping the parts above the CNF level (scope selectors, DIMACS
-validation, core filtering) in Python where they are cheap, and
+``solve``/``solve_with``/``simplify``/``value``/``core``/``stats`` —
+keeping DIMACS validation in Python where it is cheap, and
 delegating the search hot path to C.  The two bulk crossings are one
 FFI call each: ``add_clauses`` passes the CNF converter's flat
 ``[len, lit, ...]`` int32 buffer by address (C validates the literals)
@@ -129,14 +128,10 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.sat_new_var.argtypes = [h]
     lib.sat_new_vars.restype = i32
     lib.sat_new_vars.argtypes = [h, i32]
-    lib.sat_mark_selector.restype = None
-    lib.sat_mark_selector.argtypes = [h, i32]
     lib.sat_add_clause.restype = ctypes.c_int
     lib.sat_add_clause.argtypes = [h, p32, i32]
     lib.sat_add_clauses.restype = i32
     lib.sat_add_clauses.argtypes = [h, ctypes.c_void_p, i32]
-    lib.sat_gc_lit.restype = None
-    lib.sat_gc_lit.argtypes = [h, i32]
     lib.sat_simplify.restype = None
     lib.sat_simplify.argtypes = [h, ctypes.c_int]
     lib.sat_solve.restype = ctypes.c_int
@@ -165,8 +160,6 @@ class NativeSatSolver:
         self._lib = lib
         self._h = lib.sat_new()
         self.nvars = 0
-        self._scopes: List[int] = []
-        self._selector_vars: set = set()
         #: The last ``sat`` answer, one 0/1 byte per variable (index 0
         #: unused) — read it through :meth:`value` or index it in bulk.
         self.model: bytes = b""
@@ -204,12 +197,10 @@ class NativeSatSolver:
             if v == 0 or v > nvars:
                 raise ValueError(f"unknown variable in literal {signed}")
 
-    def add_clause(self, signed_lits, permanent: bool = False) -> bool:
+    def add_clause(self, signed_lits) -> bool:
         if not self._ok:
             return False
         lits = list(signed_lits)
-        if not permanent and self._scopes:
-            lits.append(-self._scopes[-1])
         self._check_lits(lits)
         arr = (ctypes.c_int32 * max(len(lits), 1))(*lits)
         result = self._lib.sat_add_clause(self._h, arr, len(lits))
@@ -235,33 +226,13 @@ class NativeSatSolver:
         self._ok = bool(result)
         return self._ok
 
-    # -- assertion scopes ---------------------------------------------
-    def push(self) -> int:
-        sel = self.new_var()
-        self._lib.sat_mark_selector(self._h, sel)
-        self._scopes.append(sel)
-        self._selector_vars.add(sel)
-        return sel
-
-    def pop(self) -> None:
-        if not self._scopes:
-            raise RuntimeError("pop without matching push")
-        sel = self._scopes.pop()
-        self.add_clause([-sel], permanent=True)
-        self._lib.sat_gc_lit(self._h, -sel)
-
-    @property
-    def num_scopes(self) -> int:
-        return len(self._scopes)
-
     # -- solving -------------------------------------------------------
     def solve(self, assumptions: Sequence[int] = (), max_conflicts=None) -> str:
         self.core = []
         if not self._ok:
             return UNSAT
         try:
-            assume = array("i", self._scopes)
-            assume.extend(assumptions)
+            assume = array("i", assumptions)
         except OverflowError:
             raise ValueError("unknown variable in assumptions") from None
         address, n = assume.buffer_info()
@@ -293,8 +264,7 @@ class NativeSatSolver:
         if ncore:
             buf = (ctypes.c_int32 * ncore)()
             self._lib.sat_core_get(self._h, buf)
-            selectors = self._selector_vars
-            self.core = [int(q) for q in buf if abs(q) not in selectors]
+            self.core = list(buf)
         return UNSAT
 
     def solve_with(self, assumptions: Sequence[int] = (), **kw) -> str:
@@ -340,5 +310,4 @@ class NativeSatSolver:
             "learned": int(stat(h, 7)),
             "subsumed": int(stat(h, 8)),
             "strengthened": int(stat(h, 9)),
-            "scopes": len(self._scopes),
         }

@@ -21,9 +21,7 @@ Clauses leave as ``[len, lit, ...]`` records in one flat ``array('i')``
 handed to :meth:`SatSolver.add_clauses` in a single call.  **Buffer
 invariant: the buffer is empty whenever a public converter call
 (:meth:`assert_term`, :meth:`literal`, :meth:`add_clause`) returns**,
-so ``push``/``pop``/``solve``/``stats`` need no flush hook.  A scoped
-assertion's selector is written into its record when the record is
-buffered.
+so ``solve``/``simplify``/``stats`` need no flush hook.
 
 A clause set that recurs with only its variables changed — the
 network model's transition relation, once per timestep — is encoded
@@ -32,20 +30,16 @@ instance and keeps the records that mention a per-instance variable as
 a :class:`ClauseTemplate`; :meth:`CnfConverter.instantiate` re-emits
 them through a variable table (no term is built or walked again).
 
-Variable allocation is *stable across solver scopes*: definition
+Variable allocation is *stable for the solver's lifetime*: definition
 clauses only ever constrain a subterm's fresh Tseitin variable relative
-to its arguments' variables, so they are valid in every scope and are
-added to the solver permanently (outside any ``push()`` scope).  Only
-the top-level unit clause of :meth:`assert_term` is scoped.  Popping a
-scope therefore never invalidates the memo tables: re-encoding a term
-seen in any earlier scope reuses its CNF — same variables, no new
-clauses — which is what keeps warm incremental solving cheap.
-
-Permanence also matters to the solver's clause arena: permanent
-definitions form the long-lived clause population that inprocessing
-(subsumption / self-subsuming resolution) is allowed to tighten, and
-stable variable numbering means a warm solver's learned clauses keep
-referring to the same subterms across every scope and deepening step.
+to its arguments' variables, so they hold whatever else is asserted or
+retracted and are never guarded.  A caller that wants an assertion
+back guards its top-level clause instead (:meth:`literal` +
+:meth:`add_clause` with the guard's negation; see :mod:`repro.smt.sat`),
+so retiring a guard never invalidates the memo tables: re-encoding a
+term seen earlier reuses its CNF — same variables, no new clauses —
+and a warm solver's learned clauses keep referring to the same
+subterms across every guard and deepening step.
 """
 
 from __future__ import annotations
@@ -245,27 +239,17 @@ class CnfConverter:
         self._flush()
         return lit
 
-    def assert_term(self, term: Term, permanent: bool = False) -> None:
-        """Assert ``term`` (it must hold in every model).
-
-        In a solver scope the assertion is retracted by the matching
-        ``pop()``; ``permanent=True`` asserts it in the root scope
-        (used for enum-domain side conditions, which define what an
-        enum variable *is* and must outlive any scope that first
-        mentioned it).
-        """
+    def assert_term(self, term: Term) -> None:
+        """Assert ``term`` (it must hold in every model)."""
         if term is TRUE:
             return
         self._encode(term, POS)
-        self.add_clause([self._lit(term)], permanent)
+        self.add_clause([self._lit(term)])
 
-    def add_clause(self, lits: Sequence[int], permanent: bool = False) -> None:
+    def add_clause(self, lits: Sequence[int]) -> None:
         """Add one clause of already-encoded literals — no term is
-        visited.  Scoped like :meth:`assert_term`."""
+        visited."""
         record = array("i", lits)  # a non-int32 raises before buffering
-        scopes = self.sat._scopes  # shared by every core, stand-ins included
-        if scopes and not permanent:
-            record.append(-scopes[-1])
         self._buf.append(len(record))
         self._buf.extend(record)
         self.counters["clauses"] += 1

@@ -26,25 +26,20 @@ portfolio, CEGIS repair screening) bottoms out in this loop:
   activity-driven learned-clause database reduction;
 * incremental solving under assumptions (MiniSat-style
   ``solve(assumps)``) with complete failed-assumption cores;
-* ``push()``/``pop()`` assertion scopes via activation literals;
 * **budget-capped inprocessing** between incremental calls: clauses
   satisfied at level 0 are dropped, false literals are stripped, and a
   forward pass of subsumption + self-subsuming resolution shrinks the
   permanent clause database retained across calls (see
   :meth:`SatSolver._simplify`).
 
-Scopes are the standard selector-variable construction: ``push()``
-allocates a fresh *selector* variable ``s`` and every clause added while
-the scope is active carries an extra ``¬s`` literal; ``solve`` assumes
-``s`` for every active scope, which switches the scope's clauses on.
-Conflict analysis resolves through those clauses, so any learned clause
-that *depends* on a scope automatically contains its ``¬s`` — learned
-clauses are therefore retained across ``pop()`` soundly: ``pop`` asserts
-``¬s`` permanently (deactivating the scope) and garbage-collects every
-clause, original or learned, that the assertion satisfies.  Learned
-clauses derived only from outer scopes survive and keep pruning later
-calls.  Inprocessing never uses a clause guarded by a *live* selector
-as a subsumer, so nothing deduced from a scope outlives its ``pop()``.
+Every clause is permanent.  A caller that wants one back guards it:
+allocate a fresh variable ``g``, add ``C ∨ ¬g``, assume ``g`` while the
+clause should be in force, and retire it with the unit ``¬g``
+(:meth:`SatSolver.simplify` then collects what the unit satisfied).
+``g`` occurs in clauses only negatively, so every resolvent of a
+guarded clause — learned or produced by inprocessing — still carries
+``¬g`` and dies with the guard; clauses learned without it survive and
+keep pruning later calls.
 
 Literal encoding: variable ``v`` (1-based) has positive literal ``2*v``
 and negative literal ``2*v + 1``; ``lit ^ 1`` negates.  DIMACS-style
@@ -128,8 +123,6 @@ class SatSolver:
         self.learned_total = 0  # clauses ever learned (DB reduction ignores it)
         self.subsumed_total = 0  # clauses removed by inprocessing subsumption
         self.strengthened_total = 0  # literals removed by inprocessing
-        self._scopes: List[int] = []  # active selector vars, outermost first
-        self._selector_vars: set = set()  # every selector ever allocated
         # Inprocessing schedule: run when the permanent DB grew past the
         # threshold, spending at most `_simplify_ticks` literal visits.
         self._simplify_at = 2000
@@ -174,21 +167,13 @@ class SatSolver:
             raise ValueError(f"unknown variable in literal {signed}")
         return (v << 1) | (1 if signed < 0 else 0)
 
-    def add_clause(self, signed_lits: Iterable[int], permanent: bool = False) -> bool:
+    def add_clause(self, signed_lits: Iterable[int]) -> bool:
         """Add a clause of signed literals.  Returns False if the solver
-        becomes trivially unsatisfiable.
-
-        Inside a ``push()`` scope the clause is retractable: it carries
-        the scope's selector and is removed by the matching ``pop()``.
-        ``permanent=True`` bypasses the scope (used for Tseitin
-        definitions, which are valid in every scope).
-        """
+        becomes trivially unsatisfiable."""
         if not self._ok:
             return False
         if self._trail_lim:
             raise RuntimeError("add_clause only at decision level 0")
-        if not permanent and self._scopes:
-            signed_lits = list(signed_lits) + [-self._scopes[-1]]
         lvals = self._lvals
         lits: List[int] = []
         seen = set()
@@ -222,18 +207,16 @@ class SatSolver:
     def add_clauses(self, buf: Sequence[int]) -> bool:
         """Add a batch of ``[len, lit, ...]`` records in order.
 
-        Records are taken verbatim, i.e. permanently: the caller (the
-        CNF converter) has already written the scope selector into any
-        scoped record.  Returns False once the solver is trivially
-        unsatisfiable; a malformed record or unknown literal raises
-        ``ValueError`` after the records before it were added.
+        Returns False once the solver is trivially unsatisfiable; a
+        malformed record or unknown literal raises ``ValueError`` after
+        the records before it were added.
         """
         i, n = 0, len(buf)
         while i < n:
             end = i + 1 + buf[i]
             if buf[i] < 0 or end > n:
                 raise ValueError(f"malformed clause record at offset {i}")
-            self.add_clause(buf[i + 1:end], permanent=True)
+            self.add_clause(buf[i + 1:end])
             i = end
         return self._ok
 
@@ -255,74 +238,6 @@ class SatSolver:
         else:
             self._watches[l0 ^ 1].append((cref, l1))
             self._watches[l1 ^ 1].append((cref, l0))
-
-    # ------------------------------------------------------------------
-    # Assertion scopes (activation literals)
-    # ------------------------------------------------------------------
-    def push(self) -> int:
-        """Open an assertion scope; returns its selector variable.
-
-        Clauses added until the matching :meth:`pop` are guarded by the
-        selector and removed (with every learned clause depending on
-        them) when the scope closes.
-        """
-        if self._trail_lim:
-            raise RuntimeError("push only at decision level 0")
-        sel = self.new_var()
-        self._scopes.append(sel)
-        self._selector_vars.add(sel)
-        return sel
-
-    def pop(self) -> None:
-        """Close the innermost scope, retracting its clauses.
-
-        The selector is asserted false permanently; clauses guarded by
-        it (and learned clauses that resolved through them — they carry
-        the selector literal) become satisfied and are garbage-collected
-        from the clause database and watch lists.  Learned clauses that
-        do not mention the scope survive.
-        """
-        if not self._scopes:
-            raise RuntimeError("pop without matching push")
-        if self._trail_lim:
-            self._backtrack(0)
-        sel = self._scopes.pop()
-        self.add_clause([-sel], permanent=True)
-        self._gc_deactivated((sel << 1) | 1)
-
-    @property
-    def num_scopes(self) -> int:
-        return len(self._scopes)
-
-    def _gc_deactivated(self, dead_lit: int) -> None:
-        """Drop every clause containing ``dead_lit`` (now true forever)."""
-        arena = self._arena
-        removed = set()
-        for refs in (self._clause_refs, self._learnt_refs):
-            live = []
-            for cref in refs:
-                size = arena[cref - 1] >> 1
-                for k in range(cref, cref + size):
-                    if arena[k] == dead_lit:
-                        removed.add(cref)
-                        self._garbage += size + 1
-                        self._cla_act.pop(cref, None)
-                        break
-                else:
-                    live.append(cref)
-            refs[:] = live
-        if not removed:
-            return
-        for wl in self._watches:
-            wl[:] = [p for p in wl if p[0] not in removed]
-        for bl in self._bwatches:
-            bl[:] = [p for p in bl if p[1] not in removed]
-        reasons = self._reasons
-        for var in range(1, self.nvars + 1):
-            if reasons[var] in removed:
-                # Level-0 facts need no justification; reasons are only
-                # consulted for literals above level 0.
-                reasons[var] = 0
 
     def _compact_arena(self) -> None:
         """Rebuild the arena without dead words, remapping every ref.
@@ -630,14 +545,11 @@ class SatSolver:
                     q = arena[k]
                     if levels[q >> 1] > 0:
                         seen.add(q >> 1)
-        # Signed DIMACS form of the implicated assumptions.  Scope
-        # selectors are solver-internal: a conflict that implicates only
-        # them means "the (scoped) assertions are unsat on their own",
-        # which callers observe as an empty core.
+        # Signed DIMACS form of the implicated assumptions.
         self.core = [
             (lit >> 1) if (lit & 1) == 0 else -(lit >> 1)
             for lit in assume_lits
-            if (lit >> 1) in core_vars and (lit >> 1) not in self._selector_vars
+            if (lit >> 1) in core_vars
         ]
 
     def _backtrack(self, level: int) -> None:
@@ -738,12 +650,9 @@ class SatSolver:
         3. *self-subsuming resolution*: ``C = A ∪ {l}`` against
            ``D ⊇ A ∪ {¬l}`` strengthens ``D`` by removing ``¬l``.
 
-        A clause guarded by a live scope selector is never used as a
-        subsumer — its deductions would not survive the scope's
-        ``pop()`` — but may be subsumed or strengthened (the guard
-        literal stays, so the result still dies with the scope).  The
-        pair scan is capped by ``_simplify_ticks`` literal visits, which
-        bounds the pause this pass can add to any single ``solve()``.
+        The pair scan is capped by ``_simplify_ticks`` literal visits,
+        which bounds the pause this pass can add to any single
+        ``solve()``.
         """
         arena = self._arena
         lvals = self._lvals
@@ -804,7 +713,6 @@ class SatSolver:
         deleted: set = set()
         occ: dict = {}
         sig: dict = {}
-        selectors = self._selector_vars
         for cref in refs:
             size = arena[cref - 1] >> 1
             s = 0
@@ -821,8 +729,6 @@ class SatSolver:
                 continue
             size = arena[cref - 1] >> 1
             lits = arena[cref:cref + size]
-            if any((q >> 1) in selectors for q in lits):
-                continue  # scoped clause: unusable as a subsumer
             cset = set(lits)
             csig = sig[cref]
             best = min(lits, key=lambda q: len(occ.get(q, ())))
@@ -908,12 +814,10 @@ class SatSolver:
     ) -> str:
         """Search for a model under the given assumptions.
 
-        Active scope selectors are assumed implicitly (before the user
-        assumptions), so scoped clauses are in force.  Conflict
-        backtracking never pops assumption levels, and learned clauses
-        are retained for the next call.  ``max_conflicts`` budgets *this
-        call* (the cumulative :attr:`conflicts` counter keeps growing
-        across calls).
+        Conflict backtracking never pops assumption levels, and learned
+        clauses are retained for the next call.  ``max_conflicts``
+        budgets *this call* (the cumulative :attr:`conflicts` counter
+        keeps growing across calls).
 
         Returns ``"sat"`` (model in :attr:`model`), ``"unsat"``, or
         ``"unknown"`` if ``max_conflicts`` was exhausted.
@@ -923,8 +827,7 @@ class SatSolver:
         if not self._ok:
             return UNSAT
 
-        assume_lits = [sel << 1 for sel in self._scopes]
-        assume_lits += [self._lit(a) for a in assumptions]
+        assume_lits = [self._lit(a) for a in assumptions]
         self._n_assumptions = len(assume_lits)
         try:
             return self._search(assume_lits, max_conflicts)
@@ -1040,7 +943,7 @@ class SatSolver:
     @property
     def _assumption_level(self) -> int:
         # During _search() the first len(assumptions) decision levels
-        # (scope selectors + user assumptions) are immovable.
+        # are immovable.
         return getattr(self, "_n_assumptions", 0)
 
     def solve_with(self, assumptions: Sequence[int] = (), **kw) -> str:
@@ -1070,8 +973,8 @@ class SatSolver:
         ``learned``, ``subsumed`` and ``strengthened`` are *cumulative*
         across every :meth:`solve` call on this instance (incremental
         calls never reset them); ``clauses`` and ``learnts`` are the
-        current database sizes (they shrink on DB reduction, scope pops
-        and inprocessing).
+        current database sizes (they shrink on DB reduction and
+        inprocessing).
         """
         return {
             "vars": self.nvars,
@@ -1084,7 +987,6 @@ class SatSolver:
             "learned": self.learned_total,
             "subsumed": self.subsumed_total,
             "strengthened": self.strengthened_total,
-            "scopes": len(self._scopes),
         }
 
 

@@ -10,9 +10,10 @@
  * instead, with identical semantics.
  *
  * The ABI is deliberately tiny and int-only (see the `sat_` exports
- * at the bottom): the Python wrapper keeps ownership of everything
- * stateful above the CNF level — scope selectors, DIMACS conversion,
- * stats dict assembly, selector filtering of cores.
+ * at the bottom): the Python wrapper keeps the DIMACS-level checks
+ * and the stats dict assembly.  Every clause is permanent; callers
+ * retract one by guarding it with a fresh variable they assume and
+ * later retire with a unit (see sat.py).
  *
  * Clause layout in the arena: two header words then the literals.
  *   arena[cref-2]  activity (float bits; learnt clauses only use it)
@@ -84,7 +85,6 @@ typedef struct Sat {
     int32_t *reasons;
     int8_t *phase;
     int8_t *seen;
-    int8_t *selector; /* scope selector vars: never subsumers */
     int8_t *model;    /* per var, snapshot of the last sat answer */
 
     double *activity;
@@ -210,7 +210,6 @@ void sat_free(Sat *s) {
     free(s->reasons);
     free(s->phase);
     free(s->seen);
-    free(s->selector);
     free(s->model);
     free(s->activity);
     free(s->heap);
@@ -239,7 +238,6 @@ int32_t sat_new_var(Sat *s) {
         s->reasons = (int32_t *)realloc(s->reasons, (size_t)(cap + 1) * 4);
         s->phase = (int8_t *)realloc(s->phase, (size_t)(cap + 1));
         s->seen = (int8_t *)realloc(s->seen, (size_t)(cap + 1));
-        s->selector = (int8_t *)realloc(s->selector, (size_t)(cap + 1));
         s->model = (int8_t *)realloc(s->model, (size_t)(cap + 1));
         s->model[0] = 0;
         s->activity = (double *)realloc(s->activity, (size_t)(cap + 1) * 8);
@@ -256,7 +254,6 @@ int32_t sat_new_var(Sat *s) {
     s->reasons[v] = 0;
     s->phase[v] = 0;
     s->seen[v] = 0;
-    s->selector[v] = 0;
     s->model[v] = -1;
     s->activity[v] = 0.0;
     s->hpos[v] = -1;
@@ -270,11 +267,6 @@ int32_t sat_new_vars(Sat *s, int32_t n) {
     while (n-- > 0)
         sat_new_var(s);
     return first;
-}
-
-void sat_mark_selector(Sat *s, int32_t var) {
-    if (var >= 1 && var <= s->nvars)
-        s->selector[var] = 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -319,26 +311,6 @@ static void rebuild_watches(Sat *s) {
     for (int32_t k = 0; k < s->learnts.n; k++)
         if (HSIZE(s->arena[s->learnts.d[k] - 1]) >= 2)
             attach(s, s->learnts.d[k]);
-}
-
-/* Drop marked-deleted entries from every watch list. */
-static void sweep_watches(Sat *s) {
-    int32_t nlits = 2 * s->nvars + 2;
-    int32_t *arena = s->arena;
-    for (int32_t i = 0; i < nlits; i++) {
-        WVec *w = &s->watches[i];
-        int32_t j = 0;
-        for (int32_t k = 0; k < w->n; k++)
-            if (!HDEL(arena[w->d[k].cref - 1]))
-                w->d[j++] = w->d[k];
-        w->n = j;
-        w = &s->bwatches[i];
-        j = 0;
-        for (int32_t k = 0; k < w->n; k++)
-            if (!HDEL(arena[w->d[k].cref - 1]))
-                w->d[j++] = w->d[k];
-        w->n = j;
-    }
 }
 
 static void mark_deleted(Sat *s, int32_t cref) {
@@ -896,14 +868,6 @@ static void simplify(Sat *s) {
             if (HDEL(header))
                 continue;
             int32_t size = HSIZE(header);
-            int guarded = 0;
-            for (int32_t k = cref; k < cref + size; k++)
-                if (s->selector[arena[k] >> 1]) {
-                    guarded = 1;
-                    break;
-                }
-            if (guarded)
-                continue; /* scoped clause: unusable as a subsumer */
             uint64_t csig = sigmap[cref];
             int32_t best = arena[cref];
             for (int32_t k = cref + 1; k < cref + size; k++)
@@ -1188,45 +1152,6 @@ int32_t sat_add_clauses(Sat *s, const int32_t *buf, int32_t n) {
     return s->ok;
 }
 
-/* Drop every clause containing the (now permanently false) literal. */
-void sat_gc_lit(Sat *s, int32_t dead_signed) {
-    int32_t v = dead_signed < 0 ? -dead_signed : dead_signed;
-    int32_t dead = (v << 1) | (dead_signed < 0 ? 1 : 0);
-    int any = 0;
-    IVec *stores[2] = {&s->clauses, &s->learnts};
-    for (int si = 0; si < 2; si++) {
-        IVec *refs = stores[si];
-        int32_t j = 0;
-        for (int32_t x = 0; x < refs->n; x++) {
-            int32_t cref = refs->d[x];
-            int32_t size = HSIZE(s->arena[cref - 1]);
-            int hit = 0;
-            for (int32_t k = cref; k < cref + size; k++)
-                if (s->arena[k] == dead) {
-                    hit = 1;
-                    break;
-                }
-            if (hit) {
-                mark_deleted(s, cref);
-                any = 1;
-            } else {
-                refs->d[j++] = cref;
-            }
-        }
-        refs->n = j;
-    }
-    if (!any)
-        return;
-    sweep_watches(s);
-    /* Level-0 facts need no justification; reasons are only consulted
-     * for literals above level 0. */
-    for (int32_t var = 1; var <= s->nvars; var++) {
-        int32_t cref = s->reasons[var];
-        if (cref && HDEL(s->arena[cref - 1]))
-            s->reasons[var] = 0;
-    }
-}
-
 /* Level-0 simplification: when the clause database has outgrown its
  * schedule (every sat_solve asks), or right away (`now`: a caller that
  * just retired many clauses with units and wants them collected). */
@@ -1286,7 +1211,7 @@ const int8_t *sat_model(Sat *s) { return s->model; }
 
 int32_t sat_core_len(Sat *s) { return s->core.n; }
 
-/* Signed DIMACS form of the implicated assumptions, caller-filtered. */
+/* Signed DIMACS form of the implicated assumptions. */
 void sat_core_get(Sat *s, int32_t *out) {
     for (int32_t k = 0; k < s->core.n; k++) {
         int32_t lit = s->core.d[k];

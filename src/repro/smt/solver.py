@@ -20,13 +20,15 @@ to the SAT core in integers (:meth:`Solver.add_clause`, ``check``'s
 ``clause=`` for a clause that lives for one query) — no term is built,
 interned or visited per query.
 
-The solver is incremental end-to-end: ``push()``/``pop()`` open and
-close assertion scopes (activation-literal based, see
-:mod:`repro.smt.sat`), learned clauses survive both ``pop()`` and
-repeated ``check()`` calls, and the shared :class:`CnfConverter` keeps
-Tseitin variable allocation stable so re-asserting a term seen in any
-earlier scope reuses its existing CNF.  ``stats()`` counters are
-cumulative across calls.
+The solver is incremental end-to-end: every assertion is permanent,
+learned clauses survive repeated ``check()`` calls, and the shared
+:class:`CnfConverter` keeps Tseitin variable allocation stable so
+re-asserting a term reuses its existing CNF.  A retractable assertion
+is a guarded clause: :meth:`Solver.new_literal` makes the guard,
+``add_clause([..., -guard])`` asserts under it, ``check`` assumes it,
+and the unit ``add_clause([-guard])`` retires it together with every
+learned clause that leaned on it (see :mod:`repro.smt.sat`).
+``stats()`` counters are cumulative across calls.
 
 Terms go to the converter as the model built them — one pass, no
 lowered copy: ``add`` calls ``assert_term`` and ``check`` calls
@@ -114,10 +116,13 @@ class Solver:
         self.sat = SatSolver()
         self._lowering = EnumLowering()
         self._cnf = CnfConverter(self.sat, self._lowering)
-        self.assertions: List[Term] = []
+        # Stand-in cores (the vendored benchmarks/_sat_reference.py)
+        # predate simplify() and the event sink: retired clauses then
+        # stay in their database, satisfied, and no sink is attached.
+        self._sat_simplify = getattr(self.sat, "simplify", None)
+        self._has_events = hasattr(self.sat, "events")
         self._result: Optional[str] = None
         self._assumed: tuple = ((), ())  # last check: (literals, items)
-        self._scope_marks: List[int] = []  # len(assertions) at each push
 
     # ------------------------------------------------------------------
     def add(self, *terms: Term) -> None:
@@ -125,16 +130,14 @@ class Solver:
         for term in terms:
             if not term.is_bool:
                 raise TypeError("Solver.add() expects boolean terms")
-            self.assertions.append(term)
             self._cnf.assert_term(term)
             self._assert_side_conditions()
 
     def _assert_side_conditions(self) -> None:
-        # Domain constraints define the enum variables themselves; they
-        # must survive the scope that happened to mention a variable
-        # first (the bit-vector memo never re-emits them).
+        # Domain constraints define the enum variables themselves (the
+        # bit-vector memo never re-emits them).
         for cond in self._lowering.drain_side_conditions():
-            self._cnf.assert_term(cond, permanent=True)
+            self._cnf.assert_term(cond)
 
     def record_template(self, asserted, defined, params):
         """Encode one instance of a recurring constraint as a
@@ -172,40 +175,16 @@ class Solver:
         return self.sat.new_var()
 
     def add_clause(self, lits: Sequence[int]) -> None:
-        """Assert the disjunction of already-encoded literals, scoped
-        like :meth:`add`; goes straight to the clause buffer."""
+        """Assert the disjunction of already-encoded literals; goes
+        straight to the clause buffer."""
         self._cnf.add_clause(lits)
 
     def simplify(self) -> None:
         """Have the SAT core collect, now, every clause that units have
         satisfied for good (retired activation literals) instead of at
         its next scheduled simplification."""
-        self.sat.simplify()
-
-    # ------------------------------------------------------------------
-    # Assertion scopes
-    # ------------------------------------------------------------------
-    def push(self) -> None:
-        """Open an assertion scope (z3-style).
-
-        Assertions added until the matching :meth:`pop` are retracted
-        with it; learned clauses that do not depend on them are kept.
-        """
-        self.sat.push()
-        self._scope_marks.append(len(self.assertions))
-
-    def pop(self) -> None:
-        """Close the innermost scope, retracting its assertions."""
-        if not self._scope_marks:
-            raise RuntimeError("pop without matching push")
-        mark = self._scope_marks.pop()
-        del self.assertions[mark:]
-        self.sat.pop()
-        self._result = None
-
-    @property
-    def num_scopes(self) -> int:
-        return len(self._scope_marks)
+        if self._sat_simplify is not None:
+            self._sat_simplify()
 
     def check(
         self,
@@ -222,9 +201,7 @@ class Solver:
         fresh activation literal, assumed, and retired with a unit
         before ``check`` returns, so the SAT core's next level-0
         simplification collects it together with every learned clause
-        that depended on it.  (Not ``push``/``pop``: a pop scans the
-        whole clause arena, and a proof search asks thousands of such
-        queries.)
+        that depended on it.
         """
         items = list(assumptions)
         literal = self.literal
@@ -234,32 +211,27 @@ class Solver:
             self._result = self._solve(lits, max_conflicts)
             return self._result
         activation = self.sat.new_var()
-        self._cnf.add_clause([-activation, *clause], permanent=True)
+        self._cnf.add_clause([-activation, *clause])
         try:
             self._result = self._solve(lits + [activation], max_conflicts)
         finally:
-            self._cnf.add_clause([-activation], permanent=True)
+            self._cnf.add_clause([-activation])
         return self._result
 
     def _solve(self, lits: List[int], max_conflicts: Optional[int]) -> str:
         tracer = get_tracer()
         if not tracer.enabled:
-            # getattr: stand-in solvers (the vendored pre-rewrite SAT
-            # core in benchmarks/_sat_reference.py) predate the event
-            # sink and carry no ``events`` slot.
-            if getattr(self.sat, "events", None) is not None:
+            if self._has_events and self.sat.events is not None:
                 self.sat.events = None  # observe() scope ended; detach
             return self.sat.solve_with(lits, max_conflicts=max_conflicts)
         # Observability path: one span per solver query, its counter
         # deltas as tags and absorbed into the registry, with the
         # restart/inprocessing event sink attached for the duration.
         registry = get_registry()
-        sink = getattr(self.sat, "events", None)
-        if sink is None or sink.tracer is not tracer:
-            try:
+        if self._has_events:
+            sink = self.sat.events
+            if sink is None or sink.tracer is not tracer:
                 self.sat.events = SolverEventSink(tracer, registry)
-            except AttributeError:  # __slots__ solver without the field
-                pass
         before = solver_counter_snapshot(self.sat.stats())
         with tracer.span("solve", cat="smt", assumptions=len(lits)) as span:
             result = self.sat.solve_with(lits, max_conflicts=max_conflicts)
@@ -342,8 +314,9 @@ class Solver:
         reset between incremental :meth:`check` calls; diff two
         snapshots to attribute work to one call.  The database gauges
         (``clauses``, ``learnts``) are *current* sizes and may shrink —
-        on ``pop()``, on learned-DB reduction, and when the arena
-        solver's inprocessing pass tightens the permanent clause set.
+        on learned-DB reduction, and when the arena solver's
+        inprocessing pass tightens the clause set or collects what a
+        retired guard satisfied.
         """
         return self.sat.stats()
 

@@ -1,6 +1,7 @@
 """Tests for the unbounded-proof mode (BMC + fixpoint agreement)."""
 
 
+from repro.baselines.explicit import explicit_verdict
 from repro.core import (
     BOUNDED,
     UNBOUNDED,
@@ -44,7 +45,7 @@ class TestProve:
 
     def test_oracle_model_beyond_the_explicit_fragment(self):
         """NATs quantify over oracle functions, so the explicit-state
-        fixpoint cannot decide them — the legacy method stays bounded.
+        fixpoint cannot decide them — the oracle has no verdict.
         The portfolio's induction engines have no such restriction: a
         certificate-backed upgrade (or an honest bounded verdict with
         the limiting engines' reason) replaces the old hard ceiling."""
@@ -57,10 +58,7 @@ class TestProve:
         )
         net = VerificationNetwork(hosts=("in", "out"), middleboxes=(nat,), rules=rules)
 
-        legacy = prove(net, FlowIsolation("in", "out"), method="explicit")
-        assert legacy.holds
-        assert legacy.guarantee == BOUNDED
-        assert "not applicable" in legacy.note
+        assert explicit_verdict(net, FlowIsolation("in", "out"), n_ports=4) is None
 
         result = prove(net, FlowIsolation("in", "out"))
         assert result.holds

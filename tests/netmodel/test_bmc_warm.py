@@ -103,20 +103,21 @@ class TestWarmDeepening:
             key: params[key]
             for key in ("n_packets", "failure_budget", "n_ports", "n_tags")
         }
-        pool = SolverPool()
-        deep = check(net, invariant, deepen=True, warm=pool,
-                     canonical_trace=True, **kwargs)
-        assert deep.status == VIOLATED
+        warm = IncrementalBMC(net, depth=params["depth"], **kwargs)
+        # Deepen until the violation appears, then canonicalize it.
+        first_sat = next(
+            k for k in range(1, params["depth"] + 1)
+            if warm.check_at(invariant, k) == SAT
+        )
+        deep = warm.canonical_trace(invariant, first_sat, presolved=True)
         # A second run on the now-warm solver: learned clauses and all.
-        again = check(net, invariant, deepen=True, warm=pool,
-                      canonical_trace=True, **kwargs)
-        assert again.stats["warm"]
+        again = warm.canonical_trace(invariant, first_sat)
         # The cold path encodes the violating depth from scratch.
-        cold = check(net, invariant, depth=deep.depth, canonical_trace=True,
+        cold = check(net, invariant, depth=first_sat, canonical_trace=True,
                      **kwargs)
         assert cold.status == VIOLATED
-        assert str(deep.trace) == str(cold.trace)
-        assert str(again.trace) == str(cold.trace)
+        assert str(deep) == str(cold.trace)
+        assert str(again) == str(cold.trace)
         assert "sends" in str(cold.trace)
 
     def test_holding_invariant_matches_cold_at_sampled_depths(self, name):
@@ -131,11 +132,9 @@ class TestWarmDeepening:
             assert warm.check_at(invariant, k) == UNSAT, f"depth {k}"
             cold = check(net, invariant, depth=k, **kwargs)
             assert cold.status == HOLDS, f"depth {k}"
-        # The public deepening entry point agrees with the one-shot path.
-        deep = check(net, invariant, deepen=True, **kwargs)
         one_shot = check(net, invariant, **kwargs)
-        assert deep.status == one_shot.status == HOLDS
-        assert deep.depth == one_shot.depth == depth
+        assert one_shot.status == HOLDS
+        assert one_shot.depth == depth
 
 
 class TestDepthBounds:

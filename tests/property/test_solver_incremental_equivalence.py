@@ -1,12 +1,14 @@
-"""The incremental solver's contract: solving under ``push()``/``pop()``
-scopes and ``check(assumptions)`` is observably identical to building a
-fresh solver and solving the visible formula from scratch.
+"""The incremental solver's contract: solving with guarded clauses
+(assumed guard = in force, retired guard = retracted) and
+``check(assumptions)`` is observably identical to building a fresh
+solver and solving the visible formula from scratch.
 
 Verdict identity is exact (satisfiability is objective).  "Identical
 models" is checked semantically: both solvers' models must satisfy
 every visible assertion and assumption — the incremental solver's
-learned clauses, retained activities, and scope selectors must never
-leak into an assignment that the from-scratch formula would reject.
+learned clauses, retained activities, inprocessing and guard literals
+must never leak into an assignment that the from-scratch formula would
+reject.
 """
 
 import pytest
@@ -27,10 +29,10 @@ from repro.smt import (
     Solver,
     evaluate,
 )
-from repro.smt.sat import SatSolver
+from repro.smt.sat import PySatSolver, SatSolver
 
 # ----------------------------------------------------------------------
-# SAT level: random CNF under scopes and assumptions
+# SAT level: random CNF under guards and assumptions
 # ----------------------------------------------------------------------
 
 NVARS = 6
@@ -71,14 +73,24 @@ def _model_satisfies(solver, clause_sets, assumptions):
         assert solver.value(abs(lit)) is (lit > 0), f"model breaks assumption {lit}"
 
 
-class TestSatScopeEquivalence:
+def _guarded(solver, clauses):
+    """Add ``clauses`` under a fresh guard variable; returns it."""
+    guard = solver.new_var()
+    for c in clauses:
+        solver.add_clause(c + [-guard])
+    return guard
+
+
+class TestSatGuardEquivalence:
+    @pytest.mark.parametrize("core", [SatSolver, PySatSolver],
+                             ids=lambda c: c.__name__)
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_scoped_solving_matches_from_scratch(self, data):
+    @given(data=st.data())
+    def test_guarded_solving_matches_from_scratch(self, core, data):
         base = _clauses(data.draw, data.draw(
             st.integers(min_value=0, max_value=6), label="n base"), "base")
-        scoped = _clauses(data.draw, data.draw(
-            st.integers(min_value=1, max_value=6), label="n scoped"), "scoped")
+        guarded = _clauses(data.draw, data.draw(
+            st.integers(min_value=1, max_value=6), label="n guarded"), "guarded")
         n_assumps = data.draw(st.integers(min_value=0, max_value=3),
                               label="n assumptions")
         assumptions = []
@@ -88,38 +100,43 @@ class TestSatScopeEquivalence:
             neg = data.draw(st.booleans(), label=f"assume[{i}] sign")
             assumptions.append(-var if neg else var)
 
-        inc = SatSolver()
+        inc = core()
         for _ in range(NVARS):
             inc.new_var()
         for c in base:
             inc.add_clause(c)
-        inc.push()
-        for c in scoped:
-            inc.add_clause(c)
+        guard = _guarded(inc, guarded)
 
-        # Inside the scope: equivalent to base + scoped from scratch.
-        got = inc.solve(assumptions)
-        ref_solver, want = _fresh_verdict([base, scoped], assumptions)
+        # Guard assumed: equivalent to base + guarded from scratch.
+        got = inc.solve(assumptions + [guard])
+        ref_solver, want = _fresh_verdict([base, guarded], assumptions)
         assert got == want
         if got == SAT:
-            _model_satisfies(inc, [base, scoped], assumptions)
-            _model_satisfies(ref_solver, [base, scoped], assumptions)
+            _model_satisfies(inc, [base, guarded], assumptions)
+            _model_satisfies(ref_solver, [base, guarded], assumptions)
+        else:
+            assert set(inc.core) <= set(assumptions + [guard])
 
-        # After the pop: equivalent to base alone, learned clauses and
+        # Inprocessing while the guard is live may subsume and
+        # strengthen with guarded clauses; what it derives keeps the
+        # guard's negation, so both views stay right.
+        inc.simplify()
+        assert inc.solve(assumptions + [guard]) == want
+
+        # Guard retired: equivalent to base alone, learned clauses and
         # all — including under the same assumptions again.
-        inc.pop()
+        inc.add_clause([-guard])
+        inc.simplify()
         got = inc.solve(assumptions)
         ref_solver, want = _fresh_verdict([base], assumptions)
         assert got == want
         if got == SAT:
             _model_satisfies(inc, [base], assumptions)
 
-        # Re-entering a scope with the same clauses round-trips.
-        inc.push()
-        for c in scoped:
-            inc.add_clause(c)
-        _, want = _fresh_verdict([base, scoped], assumptions)
-        assert inc.solve(assumptions) == want
+        # Guarding the same clauses again round-trips.
+        guard = _guarded(inc, guarded)
+        _, want = _fresh_verdict([base, guarded], assumptions)
+        assert inc.solve(assumptions + [guard]) == want
 
 
 # ----------------------------------------------------------------------
@@ -163,35 +180,40 @@ def _check_model(model, terms):
         assert evaluate(t, env), f"model violates {t!r}"
 
 
-class TestTermScopeEquivalence:
+class TestTermGuardEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_push_pop_check_matches_from_scratch(self, data):
+    def test_guarded_check_matches_from_scratch(self, data):
         base = _formulas(data.draw, data.draw(
             st.integers(min_value=0, max_value=4), label="n base"), "base")
-        scoped = _formulas(data.draw, data.draw(
-            st.integers(min_value=1, max_value=4), label="n scoped"), "scoped")
+        guarded = _formulas(data.draw, data.draw(
+            st.integers(min_value=1, max_value=4), label="n guarded"), "guarded")
         assumptions = _formulas(data.draw, data.draw(
             st.integers(min_value=0, max_value=2), label="n assume"), "assume")
 
         inc = Solver()
         inc.add(*base)
-        inc.push()
-        inc.add(*scoped)
+        guard = inc.new_literal()
+        for t in guarded:
+            inc.add_clause([inc.literal(t), -guard])
 
         fresh = Solver()
-        fresh.add(*base, *scoped)
-        got, want = inc.check(assumptions), fresh.check(assumptions)
+        fresh.add(*base, *guarded)
+        got, want = inc.check(assumptions + [guard]), fresh.check(assumptions)
         assert got == want
         if got == SAT:
-            _check_model(inc.model(), base + scoped + assumptions)
-            _check_model(fresh.model(), base + scoped + assumptions)
-        elif assumptions:
+            _check_model(inc.model(), base + guarded + assumptions)
+            _check_model(fresh.model(), base + guarded + assumptions)
+        else:
             assert {repr(t) for t in inc.unsat_core()} <= {
-                repr(t) for t in assumptions
+                repr(t) for t in assumptions + [guard]
             }
 
-        inc.pop()
+        inc.simplify()  # with the guard live
+        assert inc.check(assumptions + [guard]) == want
+
+        inc.add_clause([-guard])
+        inc.simplify()
         fresh2 = Solver()
         fresh2.add(*base)
         got, want = inc.check(assumptions), fresh2.check(assumptions)
@@ -207,7 +229,7 @@ class TestTermScopeEquivalence:
 
 def _pigeonhole(solver, pigeons, holes, guard=None):
     """Each pigeon in some hole, no two pigeons share a hole (UNSAT when
-    pigeons > holes).  ``guard`` prefixes every clause (scope-style)."""
+    pigeons > holes).  ``guard`` prefixes every clause."""
     var = {}
     for p in range(pigeons):
         for h in range(holes):
@@ -232,18 +254,17 @@ class TestClauseRetention:
         second = s.conflicts - first
         assert second <= first, (first, second)
 
-    def test_retention_survives_unrelated_scope_churn(self):
+    def test_retention_survives_unrelated_guard_churn(self):
         s = SatSolver()
         act = s.new_var()
         _pigeonhole(s, 5, 4, guard=-act)
         assert s.solve([act]) == UNSAT
         first = s.conflicts
-        s.push()
         extra = [s.new_var() for _ in range(3)]
-        s.add_clause([extra[0], extra[1]])
-        s.add_clause([-extra[1], extra[2]])
-        assert s.solve([act]) == UNSAT
-        s.pop()
+        guard = _guarded(s, [[extra[0], extra[1]], [-extra[1], extra[2]]])
+        assert s.solve([act, guard]) == UNSAT
+        s.add_clause([-guard])
+        s.simplify()
         assert s.solve([act]) == UNSAT
         total_after = s.conflicts - first
         assert total_after <= 2 * first

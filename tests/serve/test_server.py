@@ -392,3 +392,17 @@ class TestShutdown:
         assert done.wait(timeout=10)
         thread.join(timeout=10)
         srv.close()
+
+    def test_shutdown_does_not_wait_for_the_poll_interval(self):
+        """The stop wakes the loop itself: with a 30 s poll interval it
+        still ends at once (it used to take one interval unless the
+        handler thread happened to win a race with the loop)."""
+        srv = ReproServer(("127.0.0.1", 0), VerificationService(),
+                          quiet=True)
+        thread = threading.Thread(target=srv.serve_forever,
+                                  kwargs={"poll_interval": 30.0}, daemon=True)
+        thread.start()
+        assert shutdown_server(srv.url)["ok"]
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        srv.close()

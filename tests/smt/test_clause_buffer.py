@@ -54,47 +54,36 @@ class _NoBatchCore:
 
 
 @both_cores
-class TestScopedRecords:
-    def test_scoped_unit_carries_the_selector_of_its_own_scope(self, core):
+class TestGuardedRecords:
+    def test_only_the_guarded_root_carries_the_guard(self, core):
         sat = core()
         cnf, batches = _recording_converter(sat)
         a, b, c = BoolVar("a"), BoolVar("b"), BoolVar("c")
-        cnf.assert_term(Or(a, b))
-        assert batches[-1][-1] == [cnf.var_literal(Or(a, b))]  # root scope
-        first = sat.push()
-        cnf.assert_term(And(a, c))
-        *definitions, unit = batches[-1]
-        assert unit == [cnf.var_literal(And(a, c)), -first]
-        assert all(first not in map(abs, rec) for rec in definitions)
-        sat.pop()
-        second = sat.push()
-        cnf.assert_term(Not(c))
-        assert batches[-1] == [[-cnf.var_literal(c), -second]]
+        guard = sat.new_var()
+        root = cnf.literal(And(a, c))
+        definitions = batches[-1]
+        cnf.add_clause([root, -guard])
+        assert batches[-1] == [[root, -guard]]
+        assert all(guard not in map(abs, rec) for rec in definitions)
+        cnf.assert_term(Or(a, b))  # a live guard changes no other record
+        assert batches[-1][-1] == [cnf.var_literal(Or(a, b))]
         assert len(cnf._buf) == 0  # empty whenever a public call returns
 
-    def test_pop_retracts_the_assertion_but_keeps_its_definitions(self, core):
+    def test_retiring_retracts_the_assertion_but_keeps_its_definitions(self, core):
         sat = core()
         cnf, batches = _recording_converter(sat)
         a, b = BoolVar("a"), BoolVar("b")
-        sat.push()
-        cnf.assert_term(And(a, b))
-        assert sat.solve([-cnf.var_literal(a)]) == UNSAT
-        sat.pop()
+        guard = sat.new_var()
+        lit = cnf.literal(And(a, b))
+        cnf.add_clause([lit, -guard])
+        assert sat.solve([guard, -cnf.var_literal(a)]) == UNSAT
+        sat.add_clause([-guard])
+        sat.simplify()
         assert sat.solve([-cnf.var_literal(a)]) == SAT
         before = len(batches)
-        lit = cnf.literal(And(a, b))  # POS half reused, NEG half is new
-        assert len(batches) == before + 1
+        assert cnf.literal(And(a, b)) == lit  # reused: nothing re-emitted
+        assert len(batches) == before
         assert sat.solve([lit, -cnf.var_literal(b)]) == UNSAT
-
-    def test_permanent_assertion_ignores_the_scope(self, core):
-        sat = core()
-        cnf, batches = _recording_converter(sat)
-        a = BoolVar("a")
-        sat.push()
-        cnf.assert_term(a, permanent=True)
-        assert batches[-1] == [[cnf.var_literal(a)]]
-        sat.pop()
-        assert sat.solve([-cnf.var_literal(a)]) == UNSAT
 
 
 @both_cores
@@ -160,14 +149,15 @@ def test_batched_and_per_clause_paths_build_the_same_database(monkeypatch):
 
     def build():
         s = Solver()
-        s.push()
-        s.add(*terms)
-        return s
+        guard = s.new_literal()
+        s.add(*terms[1:])
+        s.add_clause([s.literal(terms[0]), -guard])
+        return s, guard
 
-    batched = build()
+    batched, guard = build()
     monkeypatch.setattr(solver_mod, "SatSolver", _NoBatchCore)
-    per_clause = build()
+    per_clause, _ = build()
     assert not hasattr(per_clause.sat, "add_clauses")
     assert batched.stats() == per_clause.stats()
     assert batched._cnf.counters == per_clause._cnf.counters
-    assert batched.check() == per_clause.check() == SAT
+    assert batched.check([guard]) == per_clause.check([guard]) == SAT

@@ -4,7 +4,7 @@
 :mod:`repro.netmodel.bmc` and ultimately the ``repro audit --json``
 schema, so its shape and semantics are a public contract: the work
 counters are *cumulative* — monotone non-decreasing across ``solve``
-calls, ``push``/``pop`` and inprocessing — while the database gauges
+calls, guard retirement and inprocessing — while the database gauges
 (``clauses``, ``learnts``) may shrink.  These tests pin that contract
 so a solver-internals rewrite (like the PR-6 arena pass) cannot
 silently change what the counters mean.
@@ -16,7 +16,7 @@ from repro.smt.sat import SAT, UNSAT, SatSolver
 
 #: The exact stats() schema: cumulative work counters + database gauges.
 EXPECTED_KEYS = {
-    "vars", "clauses", "learnts", "scopes",
+    "vars", "clauses", "learnts",
     "conflicts", "decisions", "propagations", "restarts", "learned",
     "subsumed", "strengthened",
 }
@@ -66,7 +66,7 @@ class TestMonotonicity:
         for key in SOLVER_COUNTERS:
             assert after[key] >= before[key], key
 
-    def test_counters_never_decrease_across_solves_and_scopes(self):
+    def test_counters_never_decrease_across_solves_and_guards(self):
         s = SatSolver()
         history = [self._snapshot(s)]
 
@@ -82,13 +82,14 @@ class TestMonotonicity:
         # UNSAT is a property of the *database*, not of solver state:
         # counters keep growing, verdict stays.
         s2 = SatSolver()
-        sel = s2.push()
+        sel = s2.new_var()
         pigeonhole(s2, 4, selector=sel)
         history2 = [self._snapshot(s2)]
-        assert s2.solve() == UNSAT
+        assert s2.solve([sel]) == UNSAT
         history2.append(self._snapshot(s2))
         self._assert_monotone(history2[0], history2[1])
-        s2.pop()  # GC shrinks the database...
+        s2.add_clause([-sel])
+        s2.simplify()  # collection shrinks the database...
         history2.append(self._snapshot(s2))
         self._assert_monotone(history2[1], history2[2])  # ...not the counters
         assert s2.solve() == SAT

@@ -36,9 +36,7 @@ class TestNativeMatchesPython:
             for _ in range(nv):
                 py.new_var()
                 nat.new_var()
-            clauses = []
-            depth = 0
-            scoped = {0: []}
+            live = {0: []}  # guard (0 = none) -> the clauses under it
             for _ in range(rng.randint(5, 30)):
                 op = rng.random()
                 if op < 0.6:
@@ -47,30 +45,34 @@ class TestNativeMatchesPython:
                         rng.choice([1, -1]) * v
                         for v in rng.sample(range(1, nv + 1), k)
                     ]
-                    assert py.add_clause(cl) == nat.add_clause(cl)
-                    scoped[depth].append(cl)
-                elif op < 0.7 and depth < 2:
-                    py.push()
-                    nat.push()
-                    depth += 1
-                    scoped[depth] = []
-                elif op < 0.78 and depth > 0:
-                    py.pop()
-                    nat.pop()
-                    scoped[depth] = []
-                    depth -= 1
+                    guard = rng.choice(list(live))
+                    tail = [-guard] if guard else []
+                    assert py.add_clause(cl + tail) == nat.add_clause(cl + tail)
+                    live[guard].append(cl)
+                elif op < 0.7 and len(live) < 3:
+                    guard = py.new_var()
+                    assert nat.new_var() == guard
+                    live[guard] = []
+                elif op < 0.78 and len(live) > 1:
+                    guard = rng.choice([g for g in live if g])
+                    del live[guard]
+                    assert py.add_clause([-guard]) == nat.add_clause([-guard])
+                    py.simplify()
+                    nat.simplify()
+                elif op < 0.82:
+                    py.simplify()  # inprocessing with guards live
+                    nat.simplify()
                 else:
                     na = rng.randint(0, 3)
                     assumps = [
                         rng.choice([1, -1]) * v
                         for v in rng.sample(range(1, nv + 1), min(na, nv))
-                    ]
+                    ] + [g for g in live if g]
                     r_py = py.solve(assumps)
                     r_nat = nat.solve(assumps)
                     assert r_py == r_nat
-                    clauses = [c for d in range(depth + 1) for c in scoped[d]]
                     if r_nat == SAT:
-                        for cl in clauses:
+                        for cl in (c for cls in live.values() for c in cls):
                             assert any(
                                 nat.value(abs(q)) is (q > 0) for q in cl
                             ), f"native model violates {cl}"

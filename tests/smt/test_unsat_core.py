@@ -101,10 +101,15 @@ class TestSolverCore:
         assert core <= {xs[0], xs[1]}
 
 
-class TestCoreUnderScopes:
-    """Cores of ``check(assumptions)`` inside ``push()``/``pop()``
-    scopes: always a subset of the assumption set, minimal on hand-built
-    instances, and identical after a scope round-trip."""
+def _retire(s, guard):
+    s.add_clause([-guard])
+    s.simplify()
+
+
+class TestCoreUnderGuards:
+    """Cores of ``check(assumptions)`` beside guarded clauses: always a
+    subset of the assumption set (the guard is one of them), minimal on
+    hand-built instances, and identical after a guard round-trip."""
 
     def _conflicting_pair(self):
         a, b, c, d = (BoolVar(f"sc_core_{n}") for n in "abcd")
@@ -114,10 +119,10 @@ class TestCoreUnderScopes:
 
     def test_core_is_subset_of_assumptions(self):
         s, (a, b, c, d) = self._conflicting_pair()
-        s.push()
-        s.add(Implies(c, Not(d)))
-        assert s.check(assumptions=[a, b, c]) == UNSAT
-        assert set(s.unsat_core()) <= {a, b, c}
+        guard = s.new_literal()
+        s.add_clause([s.literal(Implies(c, Not(d))), -guard])
+        assert s.check(assumptions=[a, b, c, guard]) == UNSAT
+        assert set(s.unsat_core()) <= {a, b, c, guard}
 
     def test_core_minimal_on_hand_built_chain(self):
         """x0 -> x1 -> ... -> x4 -> ¬x0: assuming x0 alone is already
@@ -139,47 +144,47 @@ class TestCoreUnderScopes:
         core = set(s.unsat_core())
         assert core == {a, b}
 
-    def test_scope_assertions_never_appear_in_core(self):
-        """A conflict caused purely by scoped assertions yields an
-        empty core (they are assertions, not assumptions), even though
-        scopes are implemented with solver-internal assumptions."""
+    def test_conflict_among_guarded_clauses_names_only_the_guard(self):
+        """A conflict caused purely by guarded clauses blames the
+        guard — the one assumption that switched them on."""
         a = BoolVar("sc_core_only")
         s = Solver()
-        s.push()
-        s.add(a, Not(a))
-        assert s.check(assumptions=[BoolVar("sc_core_free")]) == UNSAT
-        assert s.unsat_core() == []
-        s.pop()
+        guard = s.new_literal()
+        s.add_clause([s.literal(a), -guard])
+        s.add_clause([-s.literal(a), -guard])
+        assert s.check(assumptions=[BoolVar("sc_core_free"), guard]) == UNSAT
+        assert s.unsat_core() == [guard]
+        _retire(s, guard)
         assert s.check() == SAT
 
-    def test_core_round_trips_after_pop(self):
-        """Same assumptions, same verdict, same core before a push,
-        inside the scope, and after the pop."""
+    def test_core_round_trips_after_retiring(self):
+        """Same assumptions, same verdict, same core before a guard,
+        beside it, and after it is retired."""
         s, (a, b, c, d) = self._conflicting_pair()
         assert s.check(assumptions=[a, b, c]) == UNSAT
         core_before = set(s.unsat_core())
-        s.push()
-        s.add(Or(c, d))  # irrelevant to the a/b conflict
-        assert s.check(assumptions=[a, b, c]) == UNSAT
+        guard = s.new_literal()
+        s.add_clause([s.literal(Or(c, d)), -guard])  # irrelevant to a/b
+        assert s.check(assumptions=[a, b, c, guard]) == UNSAT
         assert set(s.unsat_core()) == core_before
-        s.pop()
+        _retire(s, guard)
         assert s.check(assumptions=[a, b, c]) == UNSAT
         assert set(s.unsat_core()) == core_before
         assert core_before <= {a, b}
 
-    def test_enum_core_under_scope(self):
+    def test_enum_core_beside_a_guard(self):
         palette = EnumSort("core_scope_palette", ("red", "green", "blue"))
         x = EnumVar("core_scope_x", palette)
         red = Eq(x, EnumConst(palette, "red"))
         green = Eq(x, EnumConst(palette, "green"))
         blue = Eq(x, EnumConst(palette, "blue"))
         s = Solver()
-        s.push()
-        s.add(Not(blue))
-        assert s.check(assumptions=[red, green]) == UNSAT
+        guard = s.new_literal()
+        s.add_clause([-s.literal(blue), -guard])
+        assert s.check(assumptions=[red, green, guard]) == UNSAT
         core = s.unsat_core()
-        assert core and set(core) <= {red, green}
-        s.pop()
+        assert core and set(core) <= {red, green, guard}
+        _retire(s, guard)
         assert s.check(assumptions=[red, green]) == UNSAT
         assert set(s.unsat_core()) <= {red, green}
 
