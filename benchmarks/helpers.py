@@ -31,6 +31,7 @@ from repro.netmodel.bmc import (
     IncrementalBMC,
     default_depth,
     encoding_key,
+    lease,
 )
 from repro.smt import SAT
 
@@ -143,7 +144,7 @@ def timed_verify_all(
 
 def warm_deepening(pool, net, invariant, params, canonical_trace=False):
     """Walk depths ``1..params["depth"]`` on the pool's warm driver for
-    this encoding, stopping at the first violation.
+    this encoding's shape, stopping at the first violation.
 
     Returns ``(status, depth, trace, seconds)``: the violating depth
     and its (optionally canonical) trace, or the full depth and
@@ -156,15 +157,16 @@ def warm_deepening(pool, net, invariant, params, canonical_trace=False):
     }
     depth = params["depth"]
     started = time.perf_counter()
-    driver, _ = pool.lease(
-        encoding_key(net, kwargs), depth,
+    held = lease(
+        pool, encoding_key(net, kwargs), net, invariant, depth,
         lambda: IncrementalBMC(net, depth=depth, **kwargs),
     )
+    driver, invariant = held.driver, held.invariant
     status, trace = HOLDS, None
     for k in range(1, depth + 1):
         if driver.check_at(invariant, k) == SAT:
             status, depth = VIOLATED, k
-            trace = (
+            trace = held.out(
                 driver.canonical_trace(invariant, k, presolved=True)
                 if canonical_trace else driver.decode()
             )

@@ -27,20 +27,21 @@ Three pieces:
   path, regardless of worker count.
 
 * a **warm solver pool** (:class:`repro.netmodel.bmc.SolverPool`,
-  threaded through by the sequential path): jobs carry the exact
-  structural key of their SMT encoding (:func:`encoding_key` — no
-  renaming, unlike the fingerprint), and jobs with equal keys lease
-  the same live :class:`repro.netmodel.bmc.IncrementalBMC`, so every
-  invariant verified on a slice reuses its network axioms' CNF and the
-  learned clauses of all previous checks on that slice.
+  threaded through by the sequential path): jobs carry the shape key
+  of their SMT encoding (:func:`encoding_key` — nodes numbered by
+  tuple position, the invariant left out, unlike the fingerprint), and
+  jobs with equal keys lease the same live
+  :class:`repro.netmodel.bmc.IncrementalBMC`, so every invariant
+  verified on a slice *of that shape* reuses its network axioms' CNF
+  and the learned clauses of all previous checks on it.
 
 Soundness of cache reuse rests on the same argument as the paper's
 symmetry optimization (§4.2): the SMT encoding mentions node names only
 through the structures fingerprinted here, so isomorphic problems have
-isomorphic formulas and therefore equal verdicts.  A cached result is
-returned with its original counterexample trace (node names from the
-run that populated the cache), exactly as symmetry-inherited outcomes
-share their representative's trace.
+isomorphic formulas and therefore equal verdicts.  A result carries the
+node order its fingerprint numbered, so a cached counterexample trace
+is renamed through that isomorphism into the names of the check it is
+handed to.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .. import obs
 from ..provenance import record as provenance
 from ..netmodel.bmc import CheckResult, SolverPool, check, default_depth, encoding_key
-from ..netmodel.canon import Unfingerprintable
+from ..netmodel.canon import Unfingerprintable, placeholders, rename
 from ..netmodel.canon import canon as _canon
 from ..netmodel.canon import collect_names as _collect_names
 from ..netmodel.canon import field_values as _field_values
@@ -73,13 +74,23 @@ __all__ = [
     "default_workers",
 ]
 
-#: Prefix for canonical node placeholders; NUL cannot occur in real names.
-_PLACEHOLDER = "\x00n"
-
 
 def default_workers() -> int:
     """Worker count when the caller does not specify one."""
     return os.cpu_count() or 1
+
+
+def _node_order(net: VerificationNetwork, invariant) -> List[str]:
+    """The node numbering of a fingerprint: nodes the invariant mentions
+    in order of appearance in its (stable) field serialization, the rest
+    sorted — symmetric invariants on one network canonicalize alike, and
+    checks with equal fingerprints are isomorphic position by position."""
+    known = frozenset(net.addresses)
+    order: List[str] = []
+    for _, value in _field_values(invariant):
+        _collect_names(value, known, order)
+    order.extend(name for name in sorted(known) if name not in order)
+    return order
 
 
 def fingerprint(
@@ -95,39 +106,25 @@ def fingerprint(
     the canonicalizer does not understand — such checks simply skip the
     cache rather than risk an unsound hit.
     """
-    known = frozenset(net.hosts) | frozenset(net.mbox_names) | frozenset(
-        net.extra_addresses
-    )
-    # Nodes the invariant mentions get placeholders in order of
-    # appearance in its (stable) field serialization; remaining nodes
-    # follow in sorted order.  Symmetric invariants on the same network
-    # therefore canonicalize identically.
-    order: List[str] = []
-    for _, value in _field_values(invariant):
-        _collect_names(value, known, order)
-    for name in sorted(known):
-        if name not in order:
-            order.append(name)
-    rename = {name: f"{_PLACEHOLDER}{i}" for i, name in enumerate(order)}
-
+    at = placeholders(_node_order(net, invariant))
     try:
         canon = (
             "check",
             (
                 "net",
-                ("hosts", _canon(frozenset(net.hosts), rename)),
-                ("mboxes", _canon(frozenset(net.middleboxes), rename)),
-                ("rules", _canon(frozenset(net.rules), rename)),
-                ("extra", _canon(frozenset(net.extra_addresses), rename)),
+                ("hosts", _canon(frozenset(net.hosts), at)),
+                ("mboxes", _canon(frozenset(net.middleboxes), at)),
+                ("rules", _canon(frozenset(net.rules), at)),
+                ("extra", _canon(frozenset(net.extra_addresses), at)),
                 ("spoof", net.allow_spoofing),
             ),
             (
                 "inv",
                 type(invariant).__module__,
                 type(invariant).__qualname__,
-                tuple((n, _canon(v, rename)) for n, v in _field_values(invariant)),
+                tuple((n, _canon(v, at)) for n, v in _field_values(invariant)),
             ),
-            ("params", _canon(dict(params or {}), rename)),
+            ("params", _canon(dict(params or {}), at)),
         )
     except Unfingerprintable:
         return None
@@ -233,9 +230,10 @@ def resolve_bmc_params(net: VerificationNetwork, invariant, kwargs: dict) -> dic
 class VerificationJob:
     """One check, self-contained and picklable: ship it to any worker.
 
-    ``warm_key`` is the exact encoding key (:func:`encoding_key`) used
-    to lease a warm solver when the job runs in-process; worker
-    processes ignore it (a live solver cannot cross a pickle
+    ``warm_key`` is the slice's shape key (:func:`encoding_key`) used
+    to lease a warm solver when the job runs in-process — possibly one
+    built for another slice's names, which the check renames through;
+    worker processes ignore it (a live solver cannot cross a pickle
     boundary), so parallel dispatch stays cold per job.
 
     ``prove`` switches the job from plain bounded model checking to the
@@ -324,6 +322,17 @@ def _rebind(result: CheckResult, job: VerificationJob, cached: bool) -> CheckRes
     provenance record (how the verdict was obtained — engine, lineage,
     solver work, config version)."""
     stats = dict(result.stats)
+    trace = result.trace
+    if trace is not None and job.fingerprint is not None and (
+        not cached or "node_order" in stats
+    ):
+        # The trace travels with its fingerprint's node order; one taken
+        # from another check is renamed through the isomorphism (an
+        # entry stored before orders were kept stays as it is).
+        order = _node_order(job.network, job.invariant)
+        if cached and order != stats["node_order"]:
+            trace = rename(trace, dict(zip(stats["node_order"], order)))
+        stats["node_order"] = order
     if cached:
         stats["cache_hit"] = True
     if provenance.enabled():
@@ -333,7 +342,9 @@ def _rebind(result: CheckResult, job: VerificationJob, cached: bool) -> CheckRes
             config_hash=job.config_hash,
             cached=cached,
         )
-    return dataclasses.replace(result, invariant=job.invariant, stats=stats)
+    return dataclasses.replace(
+        result, invariant=job.invariant, trace=trace, stats=stats
+    )
 
 
 def _pool_context():
@@ -361,8 +372,8 @@ def execute_jobs(
     outcome is deterministic for any worker count.
 
     ``solver_pool`` supplies warm solvers to the inline path: jobs with
-    equal ``warm_key`` (same slice, same BMC parameters) share one
-    live encoding and its learned clauses.  The pool only affects how
+    equal ``warm_key`` (same slice shape, same BMC parameters) share
+    one live encoding and its learned clauses.  The pool only affects how
     fast a verdict is reached, never which verdict — pool workers
     ignore it.
 

@@ -152,7 +152,7 @@ class VMN:
             cache if cache is not None else (ResultCache() if use_cache else None)
         )
         #: Warm solvers shared by every in-process check on this VMN:
-        #: invariants resolving to the same slice + BMC parameters
+        #: invariants resolving to the same slice shape + BMC parameters
         #: reuse one live encoding and its learned clauses.  Pass
         #: ``solver_pool=`` to share across VMNs (e.g. an incremental
         #: session's versions), ``use_warm=False`` to run cold.
@@ -282,7 +282,7 @@ class VMN:
         )
 
     def _warm_key(self, net: VerificationNetwork, params: dict) -> Optional[str]:
-        """Memoized exact encoding key for warm-solver leasing.
+        """Memoized shape key for warm-solver leasing.
 
         Slice networks are memoized per mention set, so keying the memo
         by object identity plus the encoding parameters is sound and

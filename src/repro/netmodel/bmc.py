@@ -26,10 +26,13 @@ shared with the proof engines' transition system):
   answers any invariant at any depth while retaining learned clauses
   across calls.
 
-:class:`SolverPool` keeps warm drivers keyed by the exact encoding
-structure; the batch engine leases one driver per slice so all
-invariants sharing a slice share a single encoding and its learned
-clauses.
+:class:`SolverPool` keeps warm drivers keyed by the *shape* of the
+encoding (:func:`encoding_key`: the slice with every node named by its
+tuple position, which is its enum code — so slices of one shape are
+one integer problem under different name tables).  The batch engine
+leases one driver per shape: :func:`lease` renames the invariant into
+the driver's names and the decoded trace back out, and all invariants
+on all slices of a shape share one encoding and its learned clauses.
 
 ``check`` returns :data:`VIOLATED` with a decoded counterexample trace,
 :data:`HOLDS` when the formula is unsatisfiable at the chosen depth, or
@@ -54,7 +57,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..obs import SOLVER_COUNTER_KEYS, get_registry, get_tracer
 from ..smt import SAT, UNSAT, Term
-from .canon import Unfingerprintable, canon
+from .canon import Unfingerprintable, canon, placeholders, rename
 from .events import EventKind
 from .system import VerificationNetwork
 from .trace import Trace, decode_trace
@@ -69,6 +72,8 @@ __all__ = [
     "SolverPool",
     "SOLVER_COUNTERS",
     "encoding_key",
+    "Lease",
+    "lease",
     "check",
     "default_depth",
 ]
@@ -249,22 +254,29 @@ class IncrementalBMC(Unrolling):
 # Warm solver pool
 # ----------------------------------------------------------------------
 def encoding_key(net: VerificationNetwork, params: dict) -> Optional[str]:
-    """An exact structural key for one network encoding.
+    """The shape key of one network encoding.
 
-    Unlike the result cache's fingerprint this applies **no** node
-    renaming: two checks may share a warm solver only when their
-    formulas are literally the same (same node names, same rule tuple,
-    same packet schema parameters).  ``None`` means the network holds
-    state the canonicalizer cannot serialize — skip the pool.
+    The slice with hosts, middleboxes and extra addresses numbered by
+    tuple position — the enum code ``node_sort`` / ``addr_sort`` give
+    them — and rules as a set: networks with equal keys encode to the
+    same integer problem, whatever their nodes are called, so they may
+    share a warm solver (and their lexicographically-least traces are
+    the same code sequence).  ``None`` means positions do not name
+    nodes (a name held twice) or the network holds state the
+    canonicalizer cannot serialize — skip the pool.
     """
+    names = net.addresses
+    if len(set(names)) < len(names):
+        return None
+    at = placeholders(names)
     try:
         return repr(
             (
                 "enc",
-                canon(net.hosts, {}),
-                canon(net.middleboxes, {}),
-                canon(net.rules, {}),
-                canon(net.extra_addresses, {}),
+                canon(net.hosts, at),
+                canon(net.middleboxes, at),
+                canon(frozenset(net.rules), at),
+                canon(net.extra_addresses, at),
                 net.allow_spoofing,
                 canon(dict(params), {}),
             )
@@ -274,54 +286,105 @@ def encoding_key(net: VerificationNetwork, params: dict) -> Optional[str]:
 
 
 class SolverPool:
-    """Warm :class:`IncrementalBMC` drivers keyed by encoding structure.
+    """Warm :class:`IncrementalBMC` drivers keyed by encoding shape.
 
     One pool per :class:`repro.core.vmn.VMN` (or per
     :class:`repro.incremental.IncrementalSession`, shared across
-    versions): every invariant whose check resolves to the same slice
-    and BMC parameters leases the same driver, so the network axioms
-    are encoded once and learned clauses accumulate across the whole
-    invariant set.  Bounded LRU, since long-running sessions retire
-    slices as the network churns.
+    versions): every invariant whose check resolves to a slice of the
+    same shape and BMC parameters leases the same driver, so the network
+    axioms are encoded once and learned clauses accumulate across the
+    whole invariant set.  Bounded LRU, since long-running sessions
+    retire slices as the network churns.
     """
 
     def __init__(self, max_entries: int = 8):
         self.max_entries = max_entries
         self._entries: "OrderedDict[str, IncrementalBMC]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self.hits = self.shared = self.misses = 0
 
     def lease(
-        self, key: str, depth: int, factory: Callable[[], IncrementalBMC]
+        self, key: str, depth: int, factory: Callable[[], IncrementalBMC],
+        names: Optional[Tuple[str, ...]] = None,
     ) -> Tuple[IncrementalBMC, bool]:
         """(driver, was_warm) for ``key``; rebuilds when the cached
-        driver's unrolling is too shallow for ``depth``."""
+        driver's unrolling is too shallow for ``depth``.  A warm driver
+        built for other names than the lessee's ``names`` counts as
+        ``shared``, not as a hit."""
         driver = self._entries.get(key)
-        if driver is not None and driver.model_depth >= depth:
+        if driver is None or driver.model_depth < depth:
+            outcome = "miss"
+            self.misses += 1
+            driver = self._entries[key] = factory()
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+        elif names is None or names == driver.net.addresses:
+            outcome = "hit"
             self.hits += 1
-            self._entries.move_to_end(key)
-            return driver, True
-        self.misses += 1
-        driver = factory()
-        self._entries[key] = driver
+        else:
+            outcome = "shared"
+            self.shared += 1
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return driver, False
+        get_registry().counter(
+            "repro_solver_pool_leases_total",
+            "warm-solver leases: hit, shared (other names), miss (built)",
+        ).inc(outcome=outcome)
+        return driver, outcome != "miss"
 
     def clear(self) -> None:
         self._entries.clear()
-        self.hits = 0
-        self.misses = 0
+        self.hits = self.shared = self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SolverPool({len(self._entries)} warm solvers, "
-            f"{self.hits} hits, {self.misses} misses)"
+            f"SolverPool({len(self._entries)} warm solvers, {self.hits} hits, "
+            f"{self.shared} shared, {self.misses} misses)"
         )
+
+
+@dataclass
+class Lease:
+    """A driver for one check, with the lessee's side of the name table."""
+
+    driver: Unrolling
+    warm: bool
+    invariant: object  #: the check's invariant, in the driver's names
+    back: Optional[dict] = None  #: driver's names -> lessee's, when they differ
+
+    def out(self, value):
+        """``value`` (a trace, a certificate) in the lessee's names."""
+        return rename(value, self.back) if self.back else value
+
+
+def lease(
+    pool: Optional[SolverPool], key: Optional[str], net: VerificationNetwork,
+    invariant, depth: int, build: Callable[[], Unrolling],
+) -> Lease:
+    """Lease the driver for ``net``'s shape ``key`` from ``pool``.
+
+    A driver built for another slice of the shape is the same problem
+    in other names: the invariant is renamed in, position by position,
+    and what the check decodes comes back through :meth:`Lease.out`.
+    Without a pool or a key — or when the invariant does not survive
+    the renaming as ``canon`` reads it (it holds names in state
+    ``rename`` cannot rebuild) — the check gets a private ``build()``.
+    """
+    if pool is not None and key is not None:
+        names = net.addresses
+        driver, warm = pool.lease(key, depth, build, names)
+        theirs = driver.net.addresses
+        if theirs == names:
+            return Lease(driver, warm, invariant)
+        into = dict(zip(names, theirs))
+        try:
+            renamed = rename(invariant, into)
+            if canon(renamed, {}) == canon(invariant, into):
+                return Lease(driver, warm, renamed, dict(zip(theirs, names)))
+        except (Unfingerprintable, TypeError, ValueError):
+            pass
+    return Lease(build(), False, invariant)
 
 
 # ----------------------------------------------------------------------
@@ -347,10 +410,11 @@ def check(
     invariant are honoured when the keyword arguments are left ``None``.
 
     ``warm`` names a :class:`SolverPool` to lease the solver from (the
-    batch engine passes the per-VMN pool so checks sharing a slice
-    share an encoding); ``warm_key`` skips recomputing the encoding
-    key.  ``canonical_trace=True`` canonicalizes the reported
-    counterexample (see :meth:`IncrementalBMC.canonical_trace`).
+    batch engine passes the per-VMN pool so checks on slices of one
+    shape share an encoding, see :func:`lease`); ``warm_key`` skips
+    recomputing the shape key.  ``canonical_trace=True`` canonicalizes
+    the reported counterexample (see
+    :meth:`IncrementalBMC.canonical_trace`).
     """
     if n_packets is None:
         n_packets = getattr(invariant, "n_packets_hint", 2)
@@ -361,15 +425,13 @@ def check(
 
     started = time.perf_counter()
 
+    encoding = dict(
+        n_packets=n_packets, failure_budget=failure_budget,
+        n_ports=n_ports, n_tags=n_tags,
+    )
+
     def build() -> IncrementalBMC:
-        return IncrementalBMC(
-            net,
-            n_packets=n_packets,
-            depth=depth,
-            failure_budget=failure_budget,
-            n_ports=n_ports,
-            n_tags=n_tags,
-        )
+        return IncrementalBMC(net, depth=depth, **encoding)
 
     with get_tracer().span(
         "check",
@@ -378,38 +440,25 @@ def check(
         depth=depth,
         n_packets=n_packets,
     ) as span:
-        driver, was_warm = None, False
-        if warm is not None:
-            key = warm_key
-            if key is None:
-                key = encoding_key(
-                    net,
-                    {
-                        "n_packets": n_packets,
-                        "failure_budget": failure_budget,
-                        "n_ports": n_ports,
-                        "n_tags": n_tags,
-                    },
-                )
-            if key is not None:
-                driver, was_warm = warm.lease(key, depth, build)
-        if driver is None:
-            driver = build()
+        if warm is not None and warm_key is None:
+            warm_key = encoding_key(net, encoding)
+        held = lease(warm, warm_key, net, invariant, depth, build)
+        driver, was_warm = held.driver, held.warm
 
         before = driver.counters()
         encode_before = driver.encode_seconds
         trace: Optional[Trace] = None
-        result = driver.check_at(invariant, depth, max_conflicts=max_conflicts)
+        result = driver.check_at(held.invariant, depth, max_conflicts=max_conflicts)
         if result == SAT:
             status = VIOLATED
-            trace = (
-                driver.canonical_trace(invariant, depth, presolved=True)
+            trace = held.out(
+                driver.canonical_trace(held.invariant, depth, presolved=True)
                 if canonical_trace
                 else driver.decode()
             )
         else:
             status = HOLDS if result == UNSAT else UNKNOWN
-        span.tag(status=status, warm=was_warm)
+        span.tag(status=status, warm=was_warm, shared=held.back is not None)
     get_registry().counter(
         "repro_bmc_checks_total", "BMC invariant checks by status"
     ).inc(status=status, warm=str(was_warm).lower())

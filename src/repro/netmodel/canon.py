@@ -1,13 +1,18 @@
 """Structural canonicalization of verification problems.
 
-Two consumers sit on top of these helpers:
+Two consumers sit on top of these helpers, both *up to node renaming*:
 
 * :func:`repro.core.engine.fingerprint` canonicalizes a
-  ``(network, invariant, params)`` triple *up to node renaming* so
-  isomorphic checks share one result-cache entry;
+  ``(network, invariant, params)`` triple with the invariant's nodes
+  numbered first, so isomorphic checks share one result-cache entry;
 * :func:`repro.netmodel.bmc.encoding_key` canonicalizes a
-  ``(network, params)`` pair *exactly* (empty rename) so checks with
-  byte-identical SMT encodings can share one warm solver.
+  ``(network, params)`` pair with nodes numbered by *tuple position*
+  — the enum code the encoding gives them — so slices that are one
+  integer problem under different name tables share one warm solver.
+
+:func:`rename` applies such a name table to live objects: an invariant
+going into a solver built for other names, its trace and certificate
+coming out, a cached trace handed to an isomorphic check.
 
 ``canon`` walks strings, scalars, containers, dataclasses, and plain
 config objects (middlebox models), producing a hashable, ``repr``-stable
@@ -26,6 +31,8 @@ __all__ = [
     "collect_names",
     "field_values",
     "invariant_fingerprint",
+    "placeholders",
+    "rename",
 ]
 
 
@@ -49,6 +56,30 @@ def collect_names(value, known: frozenset, order: List[str]) -> None:
         for k in sorted(value, key=repr):
             collect_names(k, known, order)
             collect_names(value[k], known, order)
+
+
+def placeholders(order) -> Dict[str, str]:
+    """The renaming that numbers ``order``'s names by position (NUL
+    cannot occur in a real name)."""
+    return {name: f"\x00n{i}" for i, name in enumerate(order)}
+
+
+def rename(value, mapping: Dict[str, str]):
+    """``value`` rebuilt with every node name sent through ``mapping``:
+    what :func:`canon` does to names, kept as objects (other leaves,
+    and objects :func:`canon` would not open as data, pass through)."""
+    if isinstance(value, str):
+        return mapping.get(value, value)
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return type(value)(rename(v, mapping) for v in value)
+    if isinstance(value, dict):
+        return {rename(k, mapping): rename(v, mapping) for k, v in value.items()}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.replace(value, **{
+            f.name: rename(getattr(value, f.name), mapping)
+            for f in dataclasses.fields(value) if f.init
+        })
+    return value
 
 
 def field_values(obj) -> List[Tuple[str, object]]:

@@ -178,22 +178,22 @@ def render_stats(payload: dict, top: int = 20, by: str = "name") -> str:
 
     metrics = payload.get("metrics") if isinstance(payload, dict) else None
     series = (metrics or {}).get("series", {})
-    encoder = sorted(k for k in series if k.startswith("repro_encoder_"))
-    if encoder:
-        lines.append("")
-        lines.append("encoder work (terms visited, clauses, int32 lits, flushes, "
-                     "template steps instanced):")
-        lines.extend(f"{key:<32}  {int(series[key]):>10}" for key in encoder)
-    search = sorted(
-        k for k in series
-        if k.startswith(("repro_ic3_", "repro_kinduction_",
-                         "repro_proof_temp_clauses_"))
-    )
-    if search:
-        lines.append("")
-        lines.append("proof search (IC3 frames and clause pushes, k-induction "
-                     "deepenings, single-query clauses):")
-        lines.extend(f"{key:<40}  {int(series[key]):>10}" for key in search)
+    for prefixes, width, heading in (
+        (("repro_encoder_",), 32,
+         "encoder work (terms visited, clauses, int32 lits, flushes, "
+         "template steps instanced):"),
+        (("repro_ic3_", "repro_kinduction_", "repro_proof_temp_clauses_"), 40,
+         "proof search (IC3 frames and clause pushes, k-induction "
+         "deepenings, single-query clauses):"),
+        (("repro_solver_pool_leases_",), 50,
+         "warm-solver leases (hit = built for these names, shared = for "
+         "another slice of the shape, miss = built now):"),
+    ):
+        keys = sorted(k for k in series if k.startswith(prefixes))
+        if keys:
+            lines.append("")
+            lines.append(heading)
+            lines.extend(f"{key:<{width}}  {int(series[key]):>10}" for key in keys)
     hists = histogram_summaries(series)
     if hists:
         hwidth = max([len(h["name"]) for h in hists] + [9])

@@ -7,7 +7,7 @@ all three concurrently — cooperative round-robin over one thread,
 each engine advancing a chunk of work per turn under a **shared
 conflict budget** — and stops at the first conclusive answer:
 
-* the BMC engine walks depths on the warm per-encoding
+* the BMC engine walks depths on the warm per-shape
   :class:`repro.netmodel.bmc.IncrementalBMC` (leased from the caller's
   :class:`repro.netmodel.bmc.SolverPool` when given, so the bug hunt
   reuses the audit's learned clauses); a violation is final — a
@@ -18,6 +18,11 @@ conflict budget** — and stops at the first conclusive answer:
   :func:`repro.proof.certificate.recheck_certificate` validates the
   certificate on an independent cold solver — a failed re-check
   demotes the engine to *stalled* and the portfolio keeps going;
+* either may have been built for another slice of the same shape
+  (:func:`repro.netmodel.bmc.lease`): search and minimisation then run
+  in the driver's names, and trace and certificate are renamed out
+  before the cold re-check — on this check's *own* network, so it is
+  the independent check of the renaming too;
 * when every prover stalls and BMC exhausts the structural depth
   clean, the verdict stays ``holds`` with a **bounded** guarantee and
   the limiting engines' reasons in the note.
@@ -46,6 +51,7 @@ from ..netmodel.bmc import (
     check,
     default_depth,
     encoding_key,
+    lease,
 )
 from ..netmodel.system import VerificationNetwork
 from ..netmodel.trace import Trace
@@ -214,6 +220,7 @@ def prove_portfolio(net: VerificationNetwork, invariant, *args, **kwargs
             guarantee=result.guarantee,
             engine=result.engine,
             depth=result.depth,
+            shared=result.stats.get("shared", False),
         )
     get_registry().counter(
         "repro_proof_verdicts_total",
@@ -295,23 +302,24 @@ def _prove_portfolio(
     def build_ts() -> TransitionSystem:
         return TransitionSystem(net, depth=ts_depth, **params)
 
-    if warm is not None and warm_key is not None:
-        driver, bmc_warm = warm.lease(warm_key, depth, build_bmc)
-        ts, ts_warm = warm.lease(warm_key + "|transition", ts_depth, build_ts)
-    else:
-        driver, bmc_warm = build_bmc(), False
-        ts, ts_warm = build_ts(), False
+    held = lease(warm, warm_key, net, invariant, depth, build_bmc)
+    held_ts = lease(
+        warm, warm_key and warm_key + "|transition", net, invariant,
+        ts_depth, build_ts,
+    )
+    driver, bmc_warm = held.driver, held.warm
+    ts, ts_warm = held_ts.driver, held_ts.warm
 
     counters_before = {
         k: driver.counters()[k] + ts.counters()[k] for k in _COUNTER_KEYS
     }
     checks_before = driver.checks + ts.checks
 
-    bmc_engine = _BMCEngine(driver, invariant, depth, canonical_trace)
+    bmc_engine = _BMCEngine(driver, held.invariant, depth, canonical_trace)
     kind_engine = KInductionEngine(
-        ts, invariant, max_k=max_k, base_clean=lambda: bmc_engine.clean
+        ts, held_ts.invariant, max_k=max_k, base_clean=lambda: bmc_engine.clean
     )
-    ic3_engine = IC3Engine(ts, invariant)
+    ic3_engine = IC3Engine(ts, held_ts.invariant)
     provers = [kind_engine, ic3_engine]
 
     def spent() -> int:
@@ -395,12 +403,13 @@ def _prove_portfolio(
                 continue
             if outcome.status == ENGINE_HOLDS:
                 report = None
+                own_cert = held_ts.out(outcome.certificate)
                 if recheck:
                     with tracer.span(
                         "recheck", cat="proof", engine=prover.name
                     ) as cspan:
                         report = recheck_certificate(
-                            net, invariant, outcome.certificate, params
+                            net, invariant, own_cert, params
                         )
                         cspan.tag(ok=report.ok)
                     registry.counter(
@@ -409,7 +418,7 @@ def _prove_portfolio(
                     ).inc(engine=prover.name, ok=str(report.ok).lower())
                 if report is None or report.ok:
                     winner = (prover.name, outcome)
-                    winner_cert = outcome.certificate
+                    winner_cert = own_cert
                     recheck_report = report
                     if minimize and winner_cert is not None \
                             and winner_cert.clauses:
@@ -422,8 +431,10 @@ def _prove_portfolio(
                             with tracer.span(
                                 "minimize", cat="proof", engine=prover.name
                             ) as mspan:
+                                # On the pooled system, in its names.
                                 shrink = minimize_certificate(
-                                    net, invariant, winner_cert, params,
+                                    ts.net, held_ts.invariant,
+                                    outcome.certificate, params,
                                     ts=ts, max_queries=remaining,
                                 )
                                 mspan.tag(
@@ -433,15 +444,19 @@ def _prove_portfolio(
                                 )
                                 tag_queries(mspan)
                             minimize_report = shrink
-                            if shrink.certificate is not winner_cert:
+                            if shrink.certificate is outcome.certificate:
+                                shrink.certificate = winner_cert
+                            else:
+                                shrunk = shrink.certificate = held_ts.out(
+                                    shrink.certificate
+                                )
                                 with tracer.span(
                                     "recheck", cat="proof",
                                     engine=prover.name, shrunk=True,
                                 ):
                                     shrunk_report = (
                                         recheck_certificate(
-                                            net, invariant,
-                                            shrink.certificate, params,
+                                            net, invariant, shrunk, params,
                                         )
                                         if recheck
                                         else None
@@ -456,7 +471,7 @@ def _prove_portfolio(
                                         ok=str(shrunk_report.ok).lower(),
                                     )
                                 if shrunk_report is None or shrunk_report.ok:
-                                    winner_cert = shrink.certificate
+                                    winner_cert = shrunk
                                     recheck_report = shrunk_report or report
                                 else:
                                     # Never ship a shrink the cold solver
@@ -510,6 +525,7 @@ def _prove_portfolio(
         learnts=solver_stats["learnts"],
         warm=bmc_warm,
         transition_warm=ts_warm,
+        shared=bool(held.back or held_ts.back),
         checks=driver.checks + ts.checks,
         asserted_depth=driver.asserted_depth,
         encode_seconds=driver.encode_seconds + ts.encode_seconds,
@@ -536,7 +552,7 @@ def _prove_portfolio(
         if outcome.status == VIOLATED:
             return result(
                 VIOLATED, UNBOUNDED, engine_name, "counterexample schedule",
-                trace=bmc_engine.trace,
+                trace=held.out(bmc_engine.trace),
             )
         return result(
             HOLDS, UNBOUNDED, engine_name, outcome.reason,

@@ -641,6 +641,11 @@ class _Shard:
             ),
             "cache_evictions": self.cache.evictions,
             "warm_solvers": len(self.pool),
+            "solver_leases": {
+                "hit": self.pool.hits,
+                "shared": self.pool.shared,
+                "miss": self.pool.misses,
+            },
             "uptime_seconds": round(time.time() - self.created, 1),
             "idle_seconds": round(time.time() - self.last_used, 1),
             "checkpoint_age_seconds": (

@@ -271,3 +271,82 @@ class TestExecuteJobs:
         sequential = [j.run().status for j in jobs]
         parallel = [r.status for r in execute_jobs(jobs, workers=2)]
         assert parallel == sequential
+
+
+class TestFollowerTraces:
+    """A verdict taken from an isomorphic check carries that check's
+    node order; its counterexample is renamed through the isomorphism,
+    so every row's trace talks about the row's own slice."""
+
+    @staticmethod
+    def _audit(cache, use_cache=True, known=None):
+        from repro.scenarios.registry import build_scenario
+
+        # repro audit enterprise --size 3 --misconfig --stable-json
+        bundle = build_scenario("enterprise", size=3, misconfig=True)
+        vmn = bundle.vmn(use_cache=use_cache, cache=cache)
+        jobs = [
+            vmn.job_for(c.invariant, index=i, canonical_trace=True,
+                        with_fingerprint=use_cache or known is not None)
+            for i, c in enumerate(bundle.checks)
+        ]
+        results = execute_jobs(jobs, workers=1, cache=vmn.result_cache,
+                               solver_pool=vmn.solver_pool, known=known)
+        return jobs, results
+
+    @staticmethod
+    def _foreign_names(jobs, results):
+        """(label, names) of every trace naming a node outside its slice."""
+        out = []
+        for job, result in zip(jobs, results):
+            if result.trace is None:
+                continue
+            own = set(job.network.node_names)
+            named = {e.frm for e in result.trace.events}
+            named |= {e.to for e in result.trace.events if e.to is not None}
+            for p in result.trace.packets.values():
+                named |= {p.src, p.dst, p.origin}
+            if not named <= own:
+                out.append((job.invariant.describe(), sorted(named - own)))
+        return out
+
+    def test_every_trace_names_its_own_slice_cache_on_and_off(self):
+        jobs, cold = self._audit(None, use_cache=False)
+        assert not any(r.cache_hit for r in cold)
+        assert self._foreign_names(jobs, cold) == []
+
+        cache = ResultCache()
+        jobs, first = self._audit(cache)
+        followers = [r for r in first if r.cache_hit and r.trace is not None]
+        assert followers, "the audit has violated cache followers"
+        assert self._foreign_names(jobs, first) == []
+        assert [r.status for r in first] == [r.status for r in cold]
+        # Here the isomorphism also keeps tuple positions, so a
+        # follower's renamed trace is its own canonical trace.
+        assert [str(r.trace) for r in first] == [str(r.trace) for r in cold]
+
+    def test_a_cache_round_trip_keeps_the_isomorphism(self):
+        cache = ResultCache()
+        self._audit(cache)
+        restored = ResultCache()
+        for key, result in pickle.loads(pickle.dumps(cache.items())):
+            restored.put(key, result)
+        jobs, again = self._audit(restored)
+        assert all(r.cache_hit for r in again)
+        assert self._foreign_names(jobs, again) == []
+        # Hits of hits: a session hands renamed results back as
+        # ``known``; here each check is led by the *last* isomorphic one.
+        known = {job.fingerprint: result for job, result in zip(jobs, again)}
+        jobs, led = self._audit(None, use_cache=False, known=known)
+        assert all(r.cache_hit for r in led)
+        assert self._foreign_names(jobs, led) == []
+
+    def test_an_entry_without_an_order_is_left_as_it_is(self):
+        cache = ResultCache()
+        self._audit(cache)
+        for _, result in cache.items():
+            result.stats.pop("node_order", None)
+        jobs, again = self._audit(cache)
+        assert all(r.cache_hit for r in again)
+        assert self._foreign_names(jobs, again) != []  # the old behaviour
+        assert all("node_order" not in r.stats for r in again)

@@ -65,14 +65,14 @@ class TestSnapshotProjection:
 ENCODER_KEYS = ("terms", "clauses", "lits", "flushes", "steps_instanced")
 
 
-def _firewalled():
+def _firewalled(ext="ext", priv="priv", fw="fw"):
     rules = (
-        TransferRule.of(HeaderMatch.of(dst={"priv"}), to="fw", from_nodes={"ext"}),
-        TransferRule.of(HeaderMatch.of(dst={"priv"}), to="priv", from_nodes={"fw"}),
+        TransferRule.of(HeaderMatch.of(dst={priv}), to=fw, from_nodes={ext}),
+        TransferRule.of(HeaderMatch.of(dst={priv}), to=priv, from_nodes={fw}),
     )
     return VerificationNetwork(
-        hosts=("ext", "priv"),
-        middleboxes=(LearningFirewall("fw", allow=[]),),
+        hosts=(ext, priv),
+        middleboxes=(LearningFirewall(fw, allow=[]),),
         rules=rules,
     )
 
@@ -180,3 +180,50 @@ class TestProofQueryCounters:
         assert "single-query clauses" in text
         assert "repro_proof_temp_clauses_total" in text
         assert "repro_ic3_frame_extensions_total" in text
+
+
+# ----------------------------------------------------------------------
+# Pool leases: three outcomes, one counter, the pool's own tallies
+# ----------------------------------------------------------------------
+class TestPoolLeaseCounters:
+    def test_leases_count_by_outcome_and_spans_say_shared(self, tmp_path):
+        """miss = built, hit = leased under the names it was built for,
+        shared = leased by a slice of the same shape under other names;
+        ``bmc:check`` / ``proof:prove`` spans carry ``shared``, the
+        registry and the pool agree, and ``repro stats`` prints them."""
+        pool = bmc.SolverPool()
+        problems = [
+            (_firewalled(), NodeIsolation("priv", "ext")),             # miss
+            (_firewalled(), NodeIsolation("priv", "ext")),             # hit
+            (_firewalled("wan", "lan", "box"), NodeIsolation("lan", "wan")),
+        ]
+        with obs.observe() as (tracer, registry):
+            with tracer.span("audit", cat="cli"):
+                for net, invariant in problems:
+                    bmc.check(net, invariant, warm=pool, **_PARAMS)
+                portfolio.prove_portfolio(
+                    _firewalled("wan", "lan", "box"),
+                    NodeIsolation("lan", "wan"), warm=pool, max_k=0, **_PARAMS
+                )
+        checks = [
+            r["args"] for r in tracer.records()
+            if (r["cat"], r["name"]) == ("bmc", "check")
+        ]
+        assert [(a["warm"], a["shared"]) for a in checks] == \
+            [(False, False), (True, False), (True, True)]
+        prove, = [
+            r["args"] for r in tracer.records()
+            if (r["cat"], r["name"]) == ("proof", "prove")
+        ]
+        # The BMC driver is the audit's (shared); the system is new.
+        assert prove["shared"] is True
+        assert (pool.hits, pool.shared, pool.misses) == (1, 2, 2)
+        snapshot = registry.snapshot()
+        for outcome, count in (("hit", 1), ("shared", 2), ("miss", 2)):
+            key = f'repro_solver_pool_leases_total{{outcome="{outcome}"}}'
+            assert snapshot[key] == count
+        out = str(tmp_path / "run.json")
+        obs.write_run_record(out, tracer, registry, meta={"command": "audit"})
+        text = obs.render_stats(obs.load_trace(out))
+        assert "warm-solver leases" in text
+        assert 'repro_solver_pool_leases_total{outcome="shared"}' in text

@@ -120,6 +120,18 @@ class TestSharding:
         (row,) = status["shards"].values()
         assert row["requests"] == 2
 
+    def test_status_counts_the_shard_pools_leases(self):
+        """``solver_leases`` sits next to ``warm_solvers``: a cache-off
+        audit builds one solver per slice shape and leases the rest."""
+        service = VerificationService()
+        payload = service.handle(_spec(size=3, no_cache=True))["payload"]
+        (row,) = service.status()["shards"].values()
+        leases = row["solver_leases"]
+        assert set(leases) == {"hit", "shared", "miss"}
+        assert leases["miss"] == row["warm_solvers"] == 3
+        assert leases["shared"] > 0
+        assert sum(leases.values()) == len(payload["checks"])
+
     def test_different_networks_get_distinct_shards(self):
         service = VerificationService()
         service.handle(_spec(scenario="enterprise"))
