@@ -461,7 +461,7 @@ def _history_store(args):
                           "or --server URL (timelines live in the store)")
     import hashlib
 
-    from .incremental.delta import network_fingerprint
+    from .netmodel.canon import network_fingerprint
     from .scenarios import ScenarioError, build_scenario
 
     try:

@@ -47,7 +47,6 @@ handed to.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -348,6 +347,8 @@ def _rebind(result: CheckResult, job: VerificationJob, cached: bool) -> CheckRes
 
 
 def _pool_context():
+    import multiprocessing  # only a batch that really fans out pays for it
+
     # fork is cheapest and inherits the interned term tables; fall back
     # to the platform default (spawn) where fork is unavailable.
     methods = multiprocessing.get_all_start_methods()

@@ -34,6 +34,7 @@ import time
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from ..netmodel.bmc import CheckResult
+from ..netmodel.canon import network_fingerprint
 from ..netmodel.rules import TransferRule
 from ..netmodel.system import VerificationNetwork
 from ..obs import get_registry, get_tracer
@@ -172,9 +173,6 @@ class VMN:
         """Digest of this network version (topology + steering) —
         the configuration identity provenance records carry."""
         if self._config_hash is None:
-            # Runtime import: incremental imports this module at load.
-            from ..incremental.delta import network_fingerprint
-
             fp = network_fingerprint(self.topology, self.steering)
             self._config_hash = hashlib.sha256(
                 fp.encode("utf-8")
@@ -256,11 +254,13 @@ class VMN:
     ) -> VerificationJob:
         """Package one invariant check as a self-contained, picklable job.
 
+        It depends on this network version only, not on the cache or
+        pool that later serve it, so it may be kept and run again.
         ``with_fingerprint`` defaults to whether this VMN owns a result
-        cache; pass ``True`` when the job will run against an external
-        cache.  ``prove="portfolio"`` turns the job into an unbounded
-        proof attempt (the fingerprint covers the mode, so bounded and
-        proof verdicts never alias in the cache)."""
+        cache; pass it explicitly when the job will run against an
+        external cache.  ``prove="portfolio"`` turns the job into an
+        unbounded proof attempt (the fingerprint covers the mode, so
+        bounded and proof verdicts never alias in the cache)."""
         if with_fingerprint is None:
             with_fingerprint = self.result_cache is not None
         net, slice_size = self.network_for(invariant)
@@ -282,7 +282,8 @@ class VMN:
         )
 
     def _warm_key(self, net: VerificationNetwork, params: dict) -> Optional[str]:
-        """Memoized shape key for warm-solver leasing.
+        """Memoized shape key for warm-solver leasing (``None`` for a
+        cold, ``use_warm=False`` VMN: nobody will lease by it).
 
         Slice networks are memoized per mention set, so keying the memo
         by object identity plus the encoding parameters is sound and

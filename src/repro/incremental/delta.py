@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
-from ..netmodel.canon import canon
+from ..netmodel.canon import network_fingerprint
 from ..network.topology import HOST, MIDDLEBOX, Topology
 from ..network.transfer import SteeringPolicy
 
@@ -393,26 +393,3 @@ class DeltaSequence(NetworkDelta):
 
     def describe(self):
         return " + ".join(d.describe() for d in self.deltas) or "no-op"
-
-
-def network_fingerprint(topology: Topology, steering: SteeringPolicy) -> str:
-    """An exact structural key of one network version.
-
-    Covers everything verification reads: node kinds and policy groups,
-    the link set, every middlebox model's configuration (via
-    :func:`repro.netmodel.canon.canon`), and the steering chains and
-    joins.  Two versions with equal fingerprints produce byte-identical
-    transfer rules and encodings — the equality delta round-trip tests
-    and repair-candidate deduplication check for.
-    """
-    nodes = []
-    for name in sorted(topology.node_names):
-        node = topology.node(name)
-        model = canon(node.model, {}) if node.kind == MIDDLEBOX else None
-        nodes.append((name, node.kind, node.policy_group, model))
-    links = sorted(tuple(sorted(pair)) for pair in topology.links)
-    chains = tuple(sorted(steering.chains.items()))
-    joins = tuple(
-        (k, tuple(sorted(v.items()))) for k, v in sorted(steering.joins.items())
-    )
-    return repr(("net-version", tuple(nodes), tuple(links), chains, joins))

@@ -1,6 +1,10 @@
 """Structural canonicalization of verification problems.
 
-Two consumers sit on top of these helpers, both *up to node renaming*:
+Two *exact* keys live beside the helpers: :func:`invariant_fingerprint`
+and :func:`network_fingerprint` (one network version — the daemon's
+shard key and provenance's ``config_hash``; here, so that needing it
+does not import the delta vocabulary).  Two consumers sit on top of
+these helpers, both *up to node renaming*:
 
 * :func:`repro.core.engine.fingerprint` canonicalizes a
   ``(network, invariant, params)`` triple with the invariant's nodes
@@ -31,6 +35,7 @@ __all__ = [
     "collect_names",
     "field_values",
     "invariant_fingerprint",
+    "network_fingerprint",
     "placeholders",
     "rename",
 ]
@@ -107,6 +112,29 @@ def invariant_fingerprint(invariant) -> str:
         type(invariant).__qualname__,
         tuple((n, canon(v, {})) for n, v in field_values(invariant)),
     ))
+
+
+def network_fingerprint(topology, steering) -> str:
+    """An exact structural key of one network version.
+
+    Covers everything verification reads: node kinds and policy groups,
+    the link set, every middlebox model's configuration (via
+    :func:`canon`; other nodes carry no model), and the steering chains
+    and joins.  Two versions with equal fingerprints produce
+    byte-identical transfer rules and encodings — the equality delta
+    round-trip tests and repair-candidate deduplication check for.
+    """
+    nodes = []
+    for name in sorted(topology.node_names):
+        node = topology.node(name)
+        nodes.append(
+            (name, node.kind, node.policy_group, canon(node.model, {})))
+    links = sorted(tuple(sorted(pair)) for pair in topology.links)
+    chains = tuple(sorted(steering.chains.items()))
+    joins = tuple(
+        (k, tuple(sorted(v.items()))) for k, v in sorted(steering.joins.items())
+    )
+    return repr(("net-version", tuple(nodes), tuple(links), chains, joins))
 
 
 def canon(value, rename: Dict[str, str]):

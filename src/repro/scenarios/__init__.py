@@ -1,12 +1,7 @@
 """Evaluation scenarios (paper §5), misconfiguration injectors, and
 churn streams for incremental re-verification."""
 
-from .churn import (
-    CHURN_GENERATORS,
-    ChurnEvent,
-    enterprise_firewall_churn,
-    tenant_churn,
-)
+from .._lazy import lazy_exports
 from .common import ExpectedCheck, ScenarioBundle
 from .datacenter import (
     datacenter,
@@ -15,7 +10,6 @@ from .datacenter import (
     datacenter_with_caches,
 )
 from .enterprise import SUBNET_TYPES, enterprise
-from .faults import FAULTS, InjectedFault, build_fault, fault_names
 from .isp import isp
 from .multitenant import multitenant
 from .registry import DEFAULT_SIZES, SCENARIOS, ScenarioError, build_scenario
@@ -44,3 +38,12 @@ __all__ = [
     "build_fault",
     "fault_names",
 ]
+
+# Churn and faults import ``repro.incremental``, which an audit never
+# needs: loaded on first use (no name here is also a submodule's).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    **dict.fromkeys(("CHURN_GENERATORS", "ChurnEvent",
+                     "enterprise_firewall_churn", "tenant_churn"), ".churn"),
+    **dict.fromkeys(("FAULTS", "InjectedFault", "build_fault",
+                     "fault_names"), ".faults"),
+})

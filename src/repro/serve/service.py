@@ -9,9 +9,17 @@ daemon receives one as a POST body.  Both hand it to the same runner
 returns the full JSON payload the command emits, so a server-mediated
 run and an in-process run produce the same bytes by construction.
 
+**Prepared audits**: :func:`run_audit` is :func:`prepare_audit` (pure
+in the normalised spec: scenario, collapse, slices, fingerprints, shape
+keys) then *execute* (all that reads a shard).  The service memoises
+the first half per spec (LRU over the fields an audit reads, at most
+``cache_entries`` jobs in all): a repeated request is a lookup plus one
+cache ``get`` per check.  ``watch`` / ``repair`` mutate their topology,
+so their bundle is built per request.
+
 **Shards** (:class:`VerificationService`) are the resident warm state:
 one per network version, keyed by the exact structural
-:func:`repro.incremental.delta.network_fingerprint` of the request's
+:func:`repro.netmodel.canon.network_fingerprint` of the request's
 baseline topology + steering.  A shard owns an LRU-bounded
 :class:`repro.core.engine.ResultCache`, a warm
 :class:`repro.netmodel.bmc.SolverPool`, and (when the service was
@@ -33,21 +41,23 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import os
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .. import obs
-from ..core.engine import ResultCache, SolverPool, execute_jobs
-from ..incremental import IncrementalSession
-from ..incremental.delta import network_fingerprint
+from ..core.engine import ResultCache, SolverPool, default_workers, execute_jobs
 from ..netmodel.bmc import SOLVER_COUNTERS, VIOLATED
+from ..netmodel.canon import network_fingerprint
 from ..obs.log import NULL_LOGGER
 from ..obs.trace import NULL_TRACER, Tracer
-from ..scenarios import CHURN_GENERATORS, ScenarioError, build_scenario
+from ..scenarios import (
+    DEFAULT_SIZES, SCENARIOS, ScenarioError, build_scenario,
+)
 from ..store import VerdictStore
 from .recorder import FlightRecorder, summarize_payload
 
@@ -125,6 +135,21 @@ def normalize_spec(spec: dict) -> dict:
     out.update({k: spec[k] for k in spec if k in _SPEC_DEFAULTS})
     out["command"] = command
     out["scenario"] = str(spec["scenario"])
+    return out
+
+
+#: What an ``audit`` / ``prove`` reads of its spec.
+_AUDIT_FIELDS = ("command", "scenario", "size", "misconfig", "seed",
+                 "no_slicing", "no_cache", "jobs", "stable", "budget",
+                 "max_checks")
+
+
+def _audit_spec(spec: dict) -> dict:
+    """Those fields of a normalised spec, the default size spelled out:
+    all a prepared audit keeps of it, hence the service's memo key."""
+    out = {name: spec[name] for name in _AUDIT_FIELDS}
+    if out["size"] is None:
+        out["size"] = DEFAULT_SIZES.get(out["scenario"])
     return out
 
 
@@ -207,31 +232,29 @@ def report_row(report) -> dict:
 # ----------------------------------------------------------------------
 # Spec runners — one per command, shared by every execution path
 # ----------------------------------------------------------------------
-def run_audit(
-    spec: dict,
-    cache: Optional[ResultCache] = None,
-    solver_pool: Optional[SolverPool] = None,
-) -> dict:
-    """Run an ``audit`` (or ``prove``) spec and return its payload.
+@dataclass(frozen=True)
+class PreparedAudit:
+    """What no warm state can change about an ``audit`` / ``prove``
+    spec: a pure function of its audit fields (all ``spec`` keeps),
+    read-only once built, so one object serves every repeat.
+    ``network`` is the shard key."""
 
-    ``cache``/``solver_pool`` supply a shard's resident warm state; the
-    cold in-process path leaves them ``None`` and gets the VMN's own
-    per-run instances.  Warmth changes cost fields only (``cached``,
-    solver counters, timings) — exactly the fields ``--stable-json``
-    strips — never verdicts.
-    """
-    spec = normalize_spec(spec)
+    spec: dict
+    bundle: object
+    jobs: tuple
+    policy_classes: int
+    network: str
+
+
+def prepare_audit(spec: dict) -> PreparedAudit:
+    """Scenario, collapse, policy classes, slices, fingerprints and
+    shape keys of one spec — the half of :func:`run_audit` that reads
+    neither a cache nor a solver."""
+    spec = _audit_spec(normalize_spec(spec))
     prove = "portfolio" if spec["command"] == "prove" else None
     bundle = _bundle_for(spec)
-    use_cache = not spec["no_cache"]
-    vmn = bundle.vmn(
-        use_slicing=not spec["no_slicing"],
-        use_cache=use_cache,
-        cache=cache if use_cache else None,
-        solver_pool=solver_pool,
-    )
-
-    workers = spec["jobs"] if spec["jobs"] > 0 else None
+    # The VMN's own (never used) pool is what makes it key the jobs.
+    vmn = bundle.vmn(use_slicing=not spec["no_slicing"], use_cache=False)
     bmc_kwargs = {}
     if prove and spec["budget"]:
         bmc_kwargs["max_conflicts"] = spec["budget"]
@@ -242,13 +265,45 @@ def run_audit(
         # byte-identical across warm/cold solver states — the parity
         # guarantee stable mode advertises.
         bmc_kwargs["canonical_trace"] = True
-    started = time.perf_counter()
-    job_list = [
-        vmn.job_for(check.invariant, index=i, prove=prove, **bmc_kwargs)
+    jobs = tuple(
+        vmn.job_for(check.invariant, index=i, prove=prove,
+                    with_fingerprint=not spec["no_cache"], **bmc_kwargs)
         for i, check in enumerate(bundle.checks)
-    ]
-    results = execute_jobs(job_list, workers=workers, cache=vmn.result_cache,
-                           solver_pool=vmn.solver_pool)
+    )
+    return PreparedAudit(
+        spec, bundle, jobs, vmn.policy_classes.count,
+        network_fingerprint(bundle.topology, bundle.steering),
+    )
+
+
+def run_audit(
+    spec: dict,
+    cache: Optional[ResultCache] = None,
+    solver_pool: Optional[SolverPool] = None,
+    prepared: Optional[PreparedAudit] = None,
+) -> dict:
+    """Run an ``audit`` (or ``prove``) spec and return its payload:
+    :func:`prepare_audit`, unless the caller kept the ``prepared`` half
+    of this very spec, then **execute** — cache lookups, solver runs,
+    rows, totals: paid per request, so cost fields stay truthful.
+
+    ``cache``/``solver_pool`` supply a shard's resident warm state; the
+    cold in-process path leaves them ``None`` and gets a per-run
+    pool.  Warmth changes cost fields only (``cached``,
+    solver counters, timings) — exactly the fields ``--stable-json``
+    strips — never verdicts.
+    """
+    prepared = prepared or prepare_audit(spec)
+    spec, bundle, job_list = prepared.spec, prepared.bundle, prepared.jobs
+    started = time.perf_counter()  # execute only, whoever prepared
+    prove = "portfolio" if spec["command"] == "prove" else None
+    # ``no_cache`` jobs carry no fingerprint and never consult ``cache``;
+    # without one, symmetric jobs of the batch still share a verdict.
+    results = execute_jobs(
+        job_list, workers=spec["jobs"] if spec["jobs"] > 0 else None,
+        cache=cache,
+        solver_pool=solver_pool if solver_pool is not None else SolverPool(),
+    )
     elapsed = time.perf_counter() - started
 
     mismatches = 0
@@ -301,7 +356,7 @@ def run_audit(
         "scenario": bundle.name,
         "seed": spec["seed"],
         "topology": bundle.topology.describe(),
-        "policy_classes": vmn.policy_classes.count,
+        "policy_classes": prepared.policy_classes,
         "n_checks": len(rows),
         "mismatches": mismatches,
         "violated": violated,
@@ -331,8 +386,10 @@ def run_watch(
     cache: Optional[ResultCache] = None,
     solver_pool: Optional[SolverPool] = None,
     store: Optional[VerdictStore] = None,
+    bundle=None,
 ) -> dict:
-    """Replay a churn stream; returns the ``repro watch`` payload.
+    """Replay a churn stream (over ``bundle``, which the session
+    mutates, when the caller built one); the ``repro watch`` payload.
 
     ``spec["prove"]`` keeps every tracked check continuously *proven*
     (portfolio mode): holds-verdicts carry certificates, and with a
@@ -340,8 +397,12 @@ def run_watch(
     them (three solver queries) instead of re-running proof searches,
     surfacing as ``certificates_reused`` in the per-version rows.
     """
+    from ..incremental import IncrementalSession
+    from ..scenarios import CHURN_GENERATORS
+
     spec = normalize_spec(spec)
-    bundle = _bundle_for(spec)  # unknown scenarios report as such first
+    if bundle is None:
+        bundle = _bundle_for(spec)  # unknown scenarios report as such first
     generator = CHURN_GENERATORS.get(spec["scenario"])
     if generator is None:
         raise BadRequest(
@@ -349,8 +410,6 @@ def run_watch(
             + ", ".join(sorted(CHURN_GENERATORS))
         )
     events = generator(bundle, n_events=spec["deltas"], seed=spec["seed"])
-
-    from ..core.engine import default_workers
 
     session = IncrementalSession.from_bundle(
         bundle,
@@ -394,12 +453,11 @@ def run_repair(
     store: Optional[VerdictStore] = None,
 ) -> dict:
     """Synthesize a certified patch; returns the ``repro repair`` payload."""
+    from ..incremental import IncrementalSession
     from ..scenarios.faults import FAULTS, build_fault, fault_names
 
     spec = normalize_spec(spec)
     scenario = spec["scenario"]
-    from ..scenarios import SCENARIOS
-
     if scenario not in SCENARIOS:
         raise BadRequest(
             f"unknown scenario {scenario!r}; see `python -m repro list`"
@@ -415,8 +473,6 @@ def run_repair(
     except KeyError as err:
         raise BadRequest(str(err.args[0])) from err
     bundle = fault.bundle
-
-    from ..core.engine import default_workers
 
     # Canonical (lex-minimal) counterexamples make hint extraction —
     # and therefore the candidate stream and the accepted patch —
@@ -461,6 +517,7 @@ def run_blame(
     cache: Optional[ResultCache] = None,
     solver_pool: Optional[SolverPool] = None,
     store: Optional[VerdictStore] = None,
+    bundle=None,
 ) -> dict:
     """Blame every check's verdict on named configuration units.
 
@@ -471,7 +528,8 @@ def run_blame(
     carries the clean-vs-faulted ``delta`` (fault localization);
     ``spec["misconfig"]`` likewise diffs against the well-configured
     baseline.  ``spec["only"]`` restricts probing to checks mentioning
-    the given node names.
+    the given node names; ``bundle``, the spec's scenario if the
+    caller already built it.
     """
     from ..provenance import blame_bundle, blame_delta
 
@@ -496,7 +554,7 @@ def run_blame(
             "deltas": [fault.fault.describe()],
         }
     else:
-        bundle = _bundle_for(spec)
+        bundle = bundle or _bundle_for(spec)
         fault_info = None
         if spec["misconfig"]:
             baseline = _bundle_for({**spec, "misconfig": False})
@@ -615,9 +673,9 @@ def payload_exit_code(payload: dict) -> int:
 # ----------------------------------------------------------------------
 @dataclass
 class _Shard:
-    """Warm verification state for one exact network version."""
+    """Warm verification state for one exact network version — what
+    a request *executes* against; nothing of a prepared audit is here."""
 
-    key: str
     scenario: str
     cache: ResultCache
     pool: SolverPool
@@ -659,7 +717,9 @@ class _Shard:
 
 
 class VerificationService:
-    """Sharded warm verification state behind an admission gate."""
+    """Sharded warm verification state behind an admission gate, plus
+    a memo of prepared audits (:meth:`_prepared_for`) so that a repeated
+    ``audit`` / ``prove`` request pays for execution only."""
 
     def __init__(
         self,
@@ -691,6 +751,10 @@ class VerificationService:
         self.errors = 0
         self.stalls = 0
         self._shards: "OrderedDict[str, _Shard]" = OrderedDict()
+        #: canonical JSON of a normalised audit/prove spec -> prepared half
+        self._prepared: "OrderedDict[str, PreparedAudit]" = OrderedDict()
+        self._prepared_counts = {"hits": 0, "misses": 0}
+        self._prepare_lock = threading.Lock()
         self._lock = threading.Lock()
         self._waiting = 0
         self._slots = threading.Semaphore(max_inflight)
@@ -735,11 +799,10 @@ class VerificationService:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
         return os.path.join(self.store_dir, f"shard-{digest}.store")
 
-    def shard_for(self, bundle) -> _Shard:
-        """The shard of a request's baseline network (created — and its
-        persisted store loaded — on first use; LRU-evicted past
-        ``max_shards``, checkpointing the evictee's store)."""
-        key = network_fingerprint(bundle.topology, bundle.steering)
+    def shard_for(self, key: str, scenario: str) -> _Shard:
+        """The shard of the network with :func:`network_fingerprint`
+        ``key`` (created as ``scenario`` — and its persisted store loaded —
+        on first use; LRU-evicted past ``max_shards``, checkpointing)."""
         created = None
         with self._lock:
             shard = self._shards.get(key)
@@ -749,8 +812,7 @@ class VerificationService:
                 if path is not None:
                     store = VerdictStore.open(path)
                 shard = _Shard(
-                    key=key,
-                    scenario=bundle.name,
+                    scenario=scenario,
                     cache=ResultCache(max_entries=self.cache_entries),
                     pool=SolverPool(),
                     store=store,
@@ -783,6 +845,41 @@ class VerificationService:
                 requests=old.requests,
             )
         return shard
+
+    def _memo(self, key: str, built=None) -> Optional[PreparedAudit]:
+        with self._lock:
+            prepared = built or self._prepared.get(key)
+            if prepared is not None:
+                self._prepared[key] = prepared
+                self._prepared.move_to_end(key)
+                self._prepared_counts["misses" if built else "hits"] += 1
+            if built:
+                # An entry weighs what its jobs do (8-36 KB each at sizes
+                # 2-64): keep as many as one shard may cache verdicts.
+                jobs = sum(len(p.jobs) for p in self._prepared.values())
+                while jobs > self.cache_entries and len(self._prepared) > 1:
+                    jobs -= len(self._prepared.popitem(last=False)[1].jobs)
+            return prepared
+
+    def _prepared_for(self, spec: dict) -> PreparedAudit:
+        """The memoised :func:`prepare_audit` of a normalised spec.
+        Misses are serialised and re-check the memo — one build per
+        spec, whichever thread asks first; a hit only takes ``_lock``."""
+        key = json.dumps(_audit_spec(spec), sort_keys=True)
+        with obs.get_tracer().span("prepare", cat="serve") as span:
+            prepared, outcome = self._memo(key), "hit"
+            if prepared is None:
+                with self._prepare_lock:
+                    prepared = self._memo(key)
+                    if prepared is None:
+                        outcome = "miss"
+                        prepared = self._memo(key, prepare_audit(spec))
+            span.tag(outcome=outcome)
+        obs.get_registry().counter(
+            "repro_serve_prepared_total",
+            "audit/prove requests by whether their prepared half was kept",
+        ).inc(outcome=outcome)
+        return prepared
 
     def _checkpoint_shard(self, shard: _Shard) -> None:
         if shard.store is not None:
@@ -839,7 +936,6 @@ class VerificationService:
         so span memory cannot grow with uptime."""
         spec = normalize_spec(spec)
         runner = RUNNERS[spec["command"]]
-        bundle = _bundle_for(spec)
         registry = obs.get_registry()
         request_id = self._new_request_id()
         tracer = (
@@ -871,22 +967,28 @@ class VerificationService:
                     spec["command"], cat="serve",
                     request_id=request_id, scenario=spec["scenario"],
                 ) as span:
-                    shard = self.shard_for(bundle)
+                    if runner is run_audit:
+                        prepared = self._prepared_for(spec)
+                        bundle, key = prepared.bundle, prepared.network
+                    else:
+                        # Private to this request: a session mutates it.
+                        prepared, bundle = None, _bundle_for(spec)
+                        key = network_fingerprint(
+                            bundle.topology, bundle.steering)
+                    shard = self.shard_for(key, bundle.name)
                     info["shard"] = shard.digest
                     span.tag(shard=shard.digest)
+                    extra = ({"prepared": prepared} if prepared
+                             else {"store": shard.store})
+                    if runner in (run_watch, run_blame):
+                        extra["bundle"] = bundle
                     with shard.lock:
                         shard.requests += 1
                         shard.last_used = time.time()
-                        if spec["command"] in ("audit", "prove"):
-                            payload = runner(
-                                spec, cache=shard.cache,
-                                solver_pool=shard.pool,
-                            )
-                        else:
-                            payload = runner(
-                                spec, cache=shard.cache,
-                                solver_pool=shard.pool, store=shard.store,
-                            )
+                        payload = runner(
+                            spec, cache=shard.cache, solver_pool=shard.pool,
+                            **extra,
+                        )
                         self._checkpoint_shard(shard)
             with self._lock:
                 self.requests += 1
@@ -1042,6 +1144,8 @@ class VerificationService:
                 "soft_deadline_seconds": self.soft_deadline_seconds,
                 "store_dir": self.store_dir,
                 "shards": shards,
+                "prepared": {"entries": len(self._prepared),
+                             **self._prepared_counts},
             }
         status["inflight"] = self.inflight()
         status["recorder"] = self.recorder.stats()

@@ -3,8 +3,10 @@
 The C source ships with the package and is compiled on first use with
 whatever system C compiler is available (``cc``/``gcc``/``clang``) into
 a per-user cache directory keyed by a hash of the source, so rebuilds
-happen only when the source changes.  There is no build-time step and no
-third-party dependency: if no compiler is found (or the build fails for
+happen only when the source changes, and a library already there is
+loaded without a compiler or the toolchain modules.  There is no
+build-time step and no third-party dependency: if the cache is cold and
+no compiler is found (or the build fails for
 any reason) :func:`load` returns ``None`` and ``repro.smt.sat`` keeps
 exporting the pure-Python arena solver, which implements the same
 algorithm with the same observable behaviour.
@@ -26,10 +28,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import platform
-import shutil
-import subprocess
-import tempfile
 from array import array
 from typing import List, Optional, Sequence
 
@@ -46,12 +44,35 @@ def _cache_dir() -> str:
     override = os.environ.get("REPRO_SATCORE_CACHE")
     if override:
         return override
+    import tempfile
+
     uid = os.getuid() if hasattr(os, "getuid") else 0
     return os.path.join(tempfile.gettempdir(), f"repro-satcore-{uid}")
 
 
 def _build() -> Optional[str]:
-    """Compile satcore.c into the cache dir; return the .so path."""
+    """The cached ``.so`` path, compiled first if absent.  An image may
+    ship a warm cache and no ``cc``: the compiler is looked for last."""
+    try:
+        with open(_SOURCE, "rb") as fh:
+            source = fh.read()
+    except OSError:
+        return None
+    if hasattr(os, "uname"):
+        machine = os.uname().machine  # what platform.machine() reads
+    else:
+        import platform
+
+        machine = platform.machine()
+    key = hashlib.sha256(source + machine.encode()).hexdigest()[:16]
+    cache = _cache_dir()
+    lib_path = os.path.join(cache, f"satcore-{key}.so")
+    if os.path.exists(lib_path):
+        return lib_path
+    import shutil
+    import subprocess
+    import tempfile
+
     compiler = None
     for name in ("cc", "gcc", "clang"):
         compiler = shutil.which(name)
@@ -59,16 +80,6 @@ def _build() -> Optional[str]:
             break
     if not compiler:
         return None
-    try:
-        with open(_SOURCE, "rb") as fh:
-            source = fh.read()
-    except OSError:
-        return None
-    key = hashlib.sha256(source + platform.machine().encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    lib_path = os.path.join(cache, f"satcore-{key}.so")
-    if os.path.exists(lib_path):
-        return lib_path
     tmp = None
     try:
         os.makedirs(cache, exist_ok=True)

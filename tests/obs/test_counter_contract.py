@@ -8,6 +8,8 @@ This pins the invariant that retired the PR-6 bug class of three
 modules each holding a drifting private ``_COUNTER_KEYS`` copy.
 """
 
+import pytest
+
 from repro import obs
 from repro.core.invariants import NodeIsolation
 from repro.mboxes import LearningFirewall
@@ -227,3 +229,31 @@ class TestPoolLeaseCounters:
         text = obs.render_stats(obs.load_trace(out))
         assert "warm-solver leases" in text
         assert 'repro_solver_pool_leases_total{outcome="shared"}' in text
+
+
+# ----------------------------------------------------------------------
+# Prepared audits: one counter, two outcomes, the service's own tallies
+# ----------------------------------------------------------------------
+class TestPreparedCounters:
+    def test_requests_count_by_outcome_and_status_agrees(self):
+        """miss = the spec's prepared half was built for this request,
+        hit = it was kept from an earlier one; ``watch`` and the other
+        session commands never touch the memo."""
+        from repro.serve.service import BadRequest, VerificationService
+
+        spec = {"command": "audit", "scenario": "isp", "size": 2}
+        with obs.observe() as (_tracer, registry):
+            service = VerificationService(soft_deadline_seconds=0)
+            try:
+                for request in (spec, spec, dict(spec, seed=1), spec,
+                                dict(spec, command="prove")):
+                    service.handle(request)
+                with pytest.raises(BadRequest, match="store"):
+                    service.handle(dict(spec, command="history"))
+                status = service.status()["prepared"]
+            finally:
+                service.close()
+        snapshot = registry.snapshot()
+        assert snapshot['repro_serve_prepared_total{outcome="miss"}'] == 3
+        assert snapshot['repro_serve_prepared_total{outcome="hit"}'] == 2
+        assert status == {"entries": 3, "hits": 2, "misses": 3}

@@ -152,6 +152,32 @@ class TestSharding:
         }
         assert scenarios == {"isp", "multitenant"}
 
+    def test_status_and_traces_say_what_was_prepared(self, tmp_path):
+        """``prepared`` in /status counts memo outcomes; a request's
+        ``prepare`` span is tagged with its own, and only a miss has the
+        collapse / policy-classes / slice spans under it."""
+        service = VerificationService(
+            store_dir=str(tmp_path), slow_trace_seconds=0.0)
+        try:
+            ids = [service.handle(_spec())["request_id"] for _ in range(2)]
+            service.handle(_spec(command="watch", size=3, deltas=1))
+            assert service.status()["prepared"] == {
+                "entries": 1, "hits": 1, "misses": 1}
+        finally:
+            service.close()
+        children = []
+        for request_id in ids:
+            with open(tmp_path / "traces" / f"{request_id}.trace.json") as fh:
+                spans = json.load(fh)["spans"]
+            (prepare,) = [s for s in spans if s["name"] == "prepare"]
+            (request,) = [s for s in spans if s["parent"] is None]
+            assert (prepare["cat"], prepare["parent"]) == ("serve",
+                                                           request["id"])
+            children.append((prepare["args"]["outcome"], sorted(
+                {s["name"] for s in spans if s["parent"] == prepare["id"]})))
+        assert children == [
+            ("miss", ["collapse", "policy-classes", "slice"]), ("hit", [])]
+
     def test_unknown_scenario_is_bad_request(self):
         service = VerificationService()
         with pytest.raises(BadRequest):

@@ -212,3 +212,36 @@ class TestCompileCacheRace:
         after = sorted(p.name for p in cache.iterdir())
         assert before == after == [before[0]]
         assert before[0].endswith(".so")
+
+    def test_warm_cache_needs_no_compiler_and_no_toolchain(self, tmp_path):
+        """An image may ship the prebuilt core without a compiler: with
+        ``PATH`` empty a warm cache still serves the C core (it used to
+        fall back to the ~20x slower Python one), and loading it imports
+        none of the modules only a build needs."""
+        cache = tmp_path / "satcore-cache"
+        self._spawn_builders(cache, nprocs=1)
+        code = (
+            "import sys; from repro.smt import Solver; s = Solver(); "
+            "assert type(s.sat).__name__ == 'NativeSatSolver', type(s.sat); "
+            "assert set(s.stats()) >= {'conflicts', 'vars'}; "
+            "loaded = {'platform', 'subprocess', 'shutil'} & set(sys.modules); "
+            "assert not loaded, loaded"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": "src", "PATH": "",
+                 "REPRO_SATCORE_CACHE": str(cache)},
+            capture_output=True, text=True,
+            cwd=__file__.rsplit("/tests/", 1)[0],
+        )
+        assert proc.returncode == 0, proc.stderr
+        # ... and with the cache cold too, no compiler means no core.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.smt import _native; assert _native.load() is None"],
+            env={"PYTHONPATH": "src", "PATH": "",
+                 "REPRO_SATCORE_CACHE": str(tmp_path / "cold")},
+            capture_output=True, text=True,
+            cwd=__file__.rsplit("/tests/", 1)[0],
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -513,6 +513,43 @@ class TestStartUp:
         assert report["codes"] == [1]
         assert report["loaded"] == []
 
+    def test_an_audit_loads_no_pool_toolchain_or_delta_vocabulary(self):
+        """Only a batch that fans out needs ``multiprocessing``, only a
+        cold satcore cache the compiler toolchain, only sessions, churn
+        and faults ``repro.incremental``."""
+        from repro.smt import _native
+
+        lazy = ["multiprocessing", "repro.incremental",
+                "repro.scenarios.churn", "repro.scenarios.faults"]
+        if _native.load() is not None:  # the cache is warm from here on
+            lazy += ["platform", "subprocess"]
+        audit = ["audit", "enterprise", "--size", "2"]
+        report = _probe([audit], lazy)
+        assert report["codes"] == [1]
+        assert report["loaded"] == []
+        # ... and each is still loaded by what does use it.
+        report = _probe([["watch", "enterprise", "--size", "3",
+                          "--deltas", "1"]], lazy)
+        assert {"repro.incremental.session", "repro.incremental.delta",
+                "repro.scenarios.churn"} <= set(report["loaded"])
+        report = _probe([audit + ["--jobs", "2", "--no-cache"]], lazy)
+        assert report["codes"] == [1]
+        assert "multiprocessing" in report["loaded"]
+
+    def test_lazy_names_are_still_importable_from_their_packages(self):
+        from repro.incremental import network_fingerprint
+        from repro.incremental.delta import network_fingerprint as via_delta
+        from repro.netmodel import canon
+        from repro.scenarios import CHURN_GENERATORS, FAULTS, build_fault
+
+        assert network_fingerprint is via_delta is canon.network_fingerprint
+        assert "enterprise" in CHURN_GENERATORS
+        assert any(name.startswith("enterprise/") for name in FAULTS)
+        assert callable(build_fault)
+        import repro.scenarios as scenarios
+
+        assert set(scenarios.__all__) <= set(dir(scenarios))
+
 
 class _CountingSocket:
     """The server end of a socketpair, recording each write the handler
